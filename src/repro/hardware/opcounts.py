@@ -29,10 +29,11 @@ class OperationCounts:
 
     def __add__(self, other: "OperationCounts") -> "OperationCounts":
         return OperationCounts(
-            **{
-                f.name: getattr(self, f.name) + getattr(other, f.name)
-                for f in fields(self)
-            }
+            self.alu + other.alu,
+            self.mult + other.mult,
+            self.load + other.load,
+            self.store + other.store,
+            self.branch + other.branch,
         )
 
     def scaled(self, factor: float) -> "OperationCounts":
@@ -48,8 +49,8 @@ class OperationCounts:
 
     @property
     def total(self) -> float:
-        """All operations of any class."""
-        return sum(getattr(self, f.name) for f in fields(self))
+        """All operations of any class (summed in field order)."""
+        return self.alu + self.mult + self.load + self.store + self.branch
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}

@@ -10,12 +10,13 @@ resulting cycle count, together with the clock model, yields throughput;
 together with the area model, yields mm^2.
 
 ``optimize_machine`` performs the "fixed throughput" evaluation of
-Sec. 4.2: enumerate machine configurations, keep those meeting the
-throughput target, and return the smallest-area one.
+Sec. 4.2: among the machine configurations meeting the throughput
+target, return the smallest-area one.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
@@ -152,7 +153,12 @@ def throughput_bps(
     program: LeveledProgram, machine: MachineConfig, work_per_iteration: float = 1.0
 ) -> float:
     """Work items (e.g. decoded bits) per second on ``machine``."""
-    result = schedule(program, machine)
+    return _throughput(machine, schedule(program, machine), work_per_iteration)
+
+
+def _throughput(
+    machine: MachineConfig, result: ScheduleResult, work_per_iteration: float = 1.0
+) -> float:
     if not math.isfinite(result.cycles):
         return 0.0
     return machine.clock_mhz * 1.0e6 * work_per_iteration / result.cycles
@@ -190,8 +196,36 @@ def evaluate_machine(
     """Schedule + area + throughput for one explicit machine choice."""
     sched = schedule(program, machine)
     area = _machine_area(program, machine)
-    tput = throughput_bps(program, machine)
-    return ImplementationEstimate(machine, sched, area, tput)
+    return ImplementationEstimate(machine, sched, area, _throughput(machine, sched))
+
+
+def _column_minimum(
+    program: LeveledProgram, target_throughput_bps: float, **column
+) -> Optional[ImplementationEstimate]:
+    """The machine with the fewest ALUs (1..``MAX_ALUS``) meeting the
+    target, all other parameters fixed by ``column``; ``None`` when even
+    ``MAX_ALUS`` falls short.  Feasibility is monotone in the ALU count
+    (cycles never rise as ALUs are added), so bisection finds it.
+    """
+
+    def probe(n_alus: int) -> ImplementationEstimate:
+        machine = MachineConfig(
+            n_alus=n_alus, datapath_width=program.datapath_width, **column
+        )
+        return evaluate_machine(program, machine)
+
+    best = probe(MAX_ALUS)
+    if best.throughput_bps < target_throughput_bps:
+        return None
+    lo, hi = 1, MAX_ALUS
+    while lo < hi:
+        mid = (lo + hi) // 2
+        estimate = probe(mid)
+        if estimate.throughput_bps >= target_throughput_bps:
+            hi, best = mid, estimate
+        else:
+            lo = mid + 1
+    return best
 
 
 def optimize_machine(
@@ -202,38 +236,53 @@ def optimize_machine(
 ) -> ImplementationEstimate:
     """Smallest-area machine meeting a throughput target.
 
-    Enumerates ALU count, memory ports, multiplier count and register
+    Searches ALU count, memory ports, multiplier count and register
     file size (the Trimaran architecture parameters of Sec. 4.2) and
-    returns the feasible configuration with minimum area.  Raises
-    :class:`SynthesisError` when even the largest machine cannot reach
-    the target — the mechanism behind "Not Feasible" verdicts.
+    returns the feasible configuration with minimum area, ties going to
+    the fewest ALUs, then memory ports, multipliers and register words.
+    Raises :class:`SynthesisError` when even the largest machine cannot
+    reach the target — the mechanism behind "Not Feasible" verdicts.
+
+    The search is exact without enumerating every machine: within one
+    (memory ports, multipliers, register file) column, cycles never rise
+    and area strictly rises as ALUs are added, so the column's smallest
+    machine is its smallest feasible ALU count, found by bisection.
     """
     if target_throughput_bps <= 0:
         raise ConfigurationError("throughput target must be positive")
     if needs_mults is None:
         needs_mults = program.op_counts.mult > 0
     mult_range = range(1, MAX_MULTS + 1) if needs_mults else (0,)
-    best: Optional[ImplementationEstimate] = None
-    for n_alus in range(1, MAX_ALUS + 1):
-        for n_ports in range(1, MAX_MEM_PORTS + 1):
-            for n_mults in mult_range:
-                for regfile in REGFILE_CHOICES:
-                    machine = MachineConfig(
-                        n_alus=n_alus,
-                        n_mem_ports=n_ports,
-                        n_mults=n_mults,
-                        regfile_words=regfile,
-                        feature_um=feature_um,
-                        datapath_width=program.datapath_width,
-                    )
-                    estimate = evaluate_machine(program, machine)
-                    if estimate.throughput_bps < target_throughput_bps:
-                        continue
-                    if best is None or estimate.area_mm2 < best.area_mm2:
-                        best = estimate
-    if best is None:
+    column_minima: List[ImplementationEstimate] = []
+    for n_ports, n_mults, regfile in itertools.product(
+        range(1, MAX_MEM_PORTS + 1), mult_range, REGFILE_CHOICES
+    ):
+        estimate = _column_minimum(
+            program,
+            target_throughput_bps,
+            n_mem_ports=n_ports,
+            n_mults=n_mults,
+            regfile_words=regfile,
+            feature_um=feature_um,
+        )
+        if estimate is not None:
+            column_minima.append(estimate)
+    if not column_minima:
         raise SynthesisError(
             f"{program.name}: no machine with <= {MAX_ALUS} ALUs reaches "
             f"{target_throughput_bps:.3g} items/s at {feature_um} um"
         )
-    return best
+    return min(column_minima, key=_rank)
+
+
+def _rank(estimate: ImplementationEstimate) -> Tuple[float, int, int, int, int]:
+    """Area, then the nesting order of a full enumeration, so equal
+    areas go to the machine that enumeration would have met first."""
+    machine = estimate.machine
+    return (
+        estimate.area_mm2,
+        machine.n_alus,
+        machine.n_mem_ports,
+        machine.n_mults,
+        machine.regfile_words,
+    )

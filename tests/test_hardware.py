@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.errors import ConfigurationError, SynthesisError
 from repro.hardware import (
+    AreaBreakdown,
     LeveledProgram,
     MachineConfig,
     OperationCounts,
@@ -24,6 +26,8 @@ from repro.hardware import (
     viterbi_program,
     width_speed_factor,
 )
+from repro.hardware import vliw
+from repro.hardware.vliw import MAX_ALUS, MAX_MEM_PORTS, MAX_MULTS, REGFILE_CHOICES
 
 
 class TestOperationCounts:
@@ -164,6 +168,148 @@ class TestOptimizer:
         machine = MachineConfig(n_alus=2, datapath_width=program.datapath_width)
         estimate = evaluate_machine(program, machine)
         assert estimate.area_mm2 == pytest.approx(estimate.area.total)
+        assert estimate.throughput_bps == throughput_bps(program, machine)
+
+
+def _enumerated_machines(program, feature_um, needs_mults):
+    """Every machine the optimizer may choose, in enumeration order."""
+    mult_range = range(1, MAX_MULTS + 1) if needs_mults else (0,)
+    return [
+        evaluate_machine(
+            program,
+            MachineConfig(
+                n_alus=n_alus,
+                n_mem_ports=n_ports,
+                n_mults=n_mults,
+                regfile_words=regfile,
+                feature_um=feature_um,
+                datapath_width=program.datapath_width,
+            ),
+        )
+        for n_alus, n_ports, n_mults, regfile in itertools.product(
+            range(1, MAX_ALUS + 1),
+            range(1, MAX_MEM_PORTS + 1),
+            mult_range,
+            REGFILE_CHOICES,
+        )
+    ]
+
+
+def _exhaustive_optimum(program, estimates, target, feature_um):
+    """Oracle: the full enumeration, keeping the first strictly smaller
+    area among the machines meeting ``target``."""
+    best = None
+    for estimate in estimates:
+        if estimate.throughput_bps < target:
+            continue
+        if best is None or estimate.area_mm2 < best.area_mm2:
+            best = estimate
+    if best is None:
+        raise SynthesisError(
+            f"{program.name}: no machine with <= {MAX_ALUS} ALUs reaches "
+            f"{target:.3g} items/s at {feature_um} um"
+        )
+    return best
+
+
+def _outcome(optimize):
+    """What a caller can observe of one optimizer call."""
+    try:
+        estimate = optimize()
+    except SynthesisError as exc:
+        return ("infeasible", str(exc))
+    return (
+        estimate.machine,
+        estimate.area_mm2,
+        estimate.throughput_bps,
+        estimate.schedule.cycles,
+    )
+
+
+def _mult_program() -> LeveledProgram:
+    program = LeveledProgram(name="fir", storage_bits=512, live_words=40)
+    program.add_level("load", load=4)
+    program.add_level("mac", mult=8, alu=8)
+    program.add_level("reduce", alu=7)
+    program.add_level("store", store=1, branch=1)
+    return program
+
+
+_DIFF_PROGRAMS = [
+    ViterbiInstanceParams(k, l_mult * k, r1)
+    for k in range(3, 10)
+    for l_mult, r1 in ((1, 1), (5, 3))
+] + [
+    ViterbiInstanceParams(k, 5 * k, r1, 2, r1 + 2, m, 1)
+    for k, r1, m in ((3, 1, 2), (5, 2, 4), (7, 3, 8), (9, 1, 16))
+]
+def _params_id(params: ViterbiInstanceParams) -> str:
+    return (
+        f"K{params.constraint_length}L{params.traceback_depth}"
+        f"R{params.low_resolution_bits}M{params.multires_paths}"
+    )
+
+
+_DIFF_TARGETS = (1e5, 3e5, 1e6, 3e6, 1e7, 3e7, 1e8)
+_DIFF_FEATURES = (0.18, 0.25, 0.35)
+
+
+class TestOptimizerMatchesEnumeration:
+    """The pruned optimizer returns exactly what full enumeration did."""
+
+    def _assert_matches(self, program, needs_mults=None):
+        mults = program.op_counts.mult > 0 if needs_mults is None else needs_mults
+        outcomes = set()
+        for feature_um in _DIFF_FEATURES:
+            estimates = _enumerated_machines(program, feature_um, mults)
+            for target in _DIFF_TARGETS:
+                expected = _outcome(
+                    lambda: _exhaustive_optimum(program, estimates, target, feature_um)
+                )
+                actual = _outcome(
+                    lambda: optimize_machine(program, target, feature_um, needs_mults)
+                )
+                assert actual == expected, (program.name, target, feature_um)
+                outcomes.add(expected[0] == "infeasible")
+        return outcomes
+
+    @pytest.mark.parametrize("params", _DIFF_PROGRAMS, ids=_params_id)
+    def test_viterbi_programs(self, params):
+        self._assert_matches(viterbi_program(params))
+
+    def test_program_needing_multipliers(self):
+        assert self._assert_matches(_mult_program()) == {True, False}
+
+    def test_forced_multipliers_on_mult_free_program(self):
+        program = viterbi_program(ViterbiInstanceParams(5, 25, 2))
+        assert self._assert_matches(program, needs_mults=True) == {True, False}
+
+    def test_area_ties_break_like_enumeration_order(self, monkeypatch):
+        """With many equal areas across columns, the winner is the first
+        tied machine in (ALUs, ports, multipliers, register) order."""
+
+        def coarse_area(program, machine):
+            units = float(machine.n_alus + machine.n_mem_ports + machine.n_mults)
+            return AreaBreakdown(units, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+
+        monkeypatch.setattr(vliw, "_machine_area", coarse_area)
+        multires = ViterbiInstanceParams(5, 25, 2, 2, 4, 4, 1)
+        self._assert_matches(viterbi_program(multires))
+        self._assert_matches(_mult_program())
+
+    def test_probes_at_most_one_bisection_per_column(self, monkeypatch):
+        calls = []
+        original = vliw.evaluate_machine
+
+        def counting(program, machine):
+            calls.append(machine)
+            return original(program, machine)
+
+        monkeypatch.setattr(vliw, "evaluate_machine", counting)
+        program = viterbi_program(ViterbiInstanceParams(7, 35, 3))
+        optimize_machine(program, 2e6)
+        columns = MAX_MEM_PORTS * len(REGFILE_CHOICES)
+        assert len(calls) <= columns * (1 + math.ceil(math.log2(MAX_ALUS))) == 144
 
 
 class TestViterbiTrace:

@@ -2,7 +2,8 @@
 
 Deeper invariants spanning several modules: decoder correctness under
 arbitrary parameters, normalization canonicity, puncture round-trips,
-structure equivalence under random stable filters, and grid algebra.
+structure equivalence under random stable filters, grid algebra, and
+the machine-model monotonicity the machine optimizer's pruning relies on.
 """
 
 from __future__ import annotations
@@ -27,6 +28,8 @@ from repro.core.evaluation import EvaluationRecord
 from repro.core.objectives import Direction, Objective
 from repro.core.parameters import frozen_point
 from repro.core.pareto import dominates, front_sort_key, pareto_front
+from repro.hardware import LeveledProgram, MachineConfig, estimate_area, schedule
+from repro.hardware.vliw import MAX_ALUS, MAX_MEM_PORTS, MAX_MULTS, REGFILE_CHOICES
 from repro.iir.structures import realize
 from repro.iir.transfer import TransferFunction
 from repro.viterbi import (
@@ -725,3 +728,82 @@ class TestPowerProperties:
         ] == sorted(
             front_sort_key(r, self.THREE_OBJECTIVES) for r in base
         )
+
+
+_OP_COUNT = st.one_of(st.integers(0, 256), st.floats(0.0, 256.0))
+
+
+@st.composite
+def _leveled_programs(draw):
+    program = LeveledProgram(
+        name="random",
+        live_words=draw(st.integers(1, 400)),
+        datapath_width=draw(st.integers(1, 32)),
+    )
+    for index in range(draw(st.integers(1, 6))):
+        program.add_level(
+            f"level{index}",
+            alu=draw(_OP_COUNT),
+            mult=draw(st.one_of(st.just(0), _OP_COUNT)),
+            load=draw(_OP_COUNT),
+            store=draw(_OP_COUNT),
+            branch=draw(st.one_of(st.just(0), _OP_COUNT)),
+        )
+    return program
+
+
+class TestMachineModelProperties:
+    """``optimize_machine`` bisects each (memory ports, multipliers,
+    register file) column over the ALU count.  That is exact only if
+    adding any resource never costs cycles and adding an ALU always
+    costs area."""
+
+    MACHINES = st.fixed_dictionaries(
+        {
+            "n_alus": st.integers(1, MAX_ALUS),
+            "n_mem_ports": st.integers(1, MAX_MEM_PORTS),
+            "n_mults": st.integers(0, MAX_MULTS),
+            "regfile_words": st.sampled_from(REGFILE_CHOICES),
+            "feature_um": st.sampled_from((0.18, 0.25, 0.35)),
+        }
+    )
+
+    @given(program=_leveled_programs(), machine=MACHINES)
+    @settings(max_examples=150, deadline=None)
+    def test_cycles_non_increasing_in_every_resource(self, program, machine):
+        base = schedule(program, MachineConfig(**machine)).cycles
+        grown = [
+            dict(machine, n_alus=machine["n_alus"] + 1),
+            dict(machine, n_mem_ports=machine["n_mem_ports"] + 1),
+            dict(machine, n_mults=machine["n_mults"] + 1),
+            dict(machine, regfile_words=2 * machine["regfile_words"]),
+        ]
+        for bigger in grown:
+            assert schedule(program, MachineConfig(**bigger)).cycles <= base
+
+    @given(
+        n_alus=st.integers(1, MAX_ALUS - 1),
+        n_mem_ports=st.integers(1, MAX_MEM_PORTS),
+        n_mults=st.integers(0, MAX_MULTS),
+        regfile_words=st.sampled_from(REGFILE_CHOICES),
+        datapath_width=st.integers(1, 32),
+        storage_bits=st.integers(0, 1 << 20),
+        feature_um=st.sampled_from((0.13, 0.18, 0.25, 0.35)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_area_strictly_increasing_in_alus(
+        self, n_alus, n_mem_ports, n_mults, regfile_words, datapath_width,
+        storage_bits, feature_um,
+    ):
+        def area(alus):
+            return estimate_area(
+                n_alus=alus,
+                n_mem_ports=n_mem_ports,
+                datapath_width=datapath_width,
+                storage_bits=storage_bits,
+                feature_um=feature_um,
+                n_mults=n_mults,
+                regfile_words=regfile_words,
+            ).total
+
+        assert area(n_alus + 1) > area(n_alus)
