@@ -15,7 +15,6 @@ from repro.hardware import (
     MachineConfig,
     ViterbiInstanceParams,
     dfg_from_sections,
-    estimate_energy,
     evaluate_machine,
     list_schedule,
     minimum_resources,
@@ -25,6 +24,7 @@ from repro.hardware import (
 from repro.hardware.synthesis import estimate_iir_implementation
 from repro.iir.design import design_filter, paper_bandpass_spec
 from repro.iir.structures import realize
+from repro.power import estimate_energy
 
 
 def viterbi_side() -> None:

@@ -3,10 +3,10 @@
 A scenario is one (specification, goal) pair, identified exactly by
 its evaluator fingerprint.  Warm-starting a *new* scenario from the
 library means finding stored scenarios whose specification is nearby —
-"nearby" measured over a normalized numeric feature vector extracted
-from the spec (throughput and BER curve for Viterbi; sample period and
-filter edges/ripples for IIR).  Rates and BERs span decades, so they
-enter the vector in log10.
+"nearby" measured over a normalized numeric feature vector that the
+spec's MetaCore definition extracts (throughput and BER curve for
+Viterbi; sample period and filter edges/ripples for IIR).  Rates and
+BERs span decades, so they enter the vector in log10.
 """
 
 from __future__ import annotations
@@ -15,8 +15,10 @@ import math
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.evalcache import evaluator_fingerprint
+from repro.core.metacore import definition_for_spec
 from repro.core.objectives import DesignGoal
 from repro.core.parameters import Point, frozen_point
+from repro.errors import ConfigurationError
 
 #: Scenarios farther apart than this (RMS relative feature distance)
 #: are not used to seed each other.  0.25 roughly means "specs agree
@@ -28,56 +30,17 @@ DEFAULT_SIMILARITY_THRESHOLD = 0.25
 def spec_features(spec: object) -> Dict[str, float]:
     """Normalized numeric feature vector of a facade specification.
 
-    Dispatches on the concrete spec type (imported lazily so the atlas
-    package never drags in a driver it is not serving).  Raises
-    ``TypeError`` for unknown spec types — the caller should then fall
-    back to exact-fingerprint matching only.
+    Uses the feature extractor of the spec's MetaCore definition.
+    Raises ``TypeError`` for specs without one — the caller should then
+    fall back to exact-fingerprint matching only.
     """
-    from repro.viterbi.metacore import ViterbiSpec
-
-    if isinstance(spec, ViterbiSpec):
-        features = {
-            "log10_throughput": math.log10(spec.throughput_bps),
-            "feature_um": float(spec.feature_um),
-        }
-        for index, (es_n0_db, ber) in enumerate(spec.ber_curve.points):
-            features[f"es_n0_db_{index}"] = float(es_n0_db)
-            features[f"log10_ber_{index}"] = math.log10(ber)
-        return features
-
-    from repro.iir.metacore import IIRSpec
-
-    if isinstance(spec, IIRSpec):
-        from repro.iir.design import BandpassSpec, LowpassSpec
-
-        features = {
-            "log10_period_us": math.log10(spec.sample_period_us),
-            "feature_um": float(spec.feature_um),
-        }
-        filter_spec = spec.filter_spec
-        if isinstance(filter_spec, LowpassSpec):
-            features.update(
-                passband_edge=filter_spec.passband_edge,
-                stopband_edge=filter_spec.stopband_edge,
-                log10_passband_ripple=math.log10(filter_spec.passband_ripple),
-                log10_stopband_ripple=math.log10(filter_spec.stopband_ripple),
-            )
-        elif isinstance(filter_spec, BandpassSpec):
-            features.update(
-                passband_low=filter_spec.passband_low,
-                passband_high=filter_spec.passband_high,
-                stopband_low=filter_spec.stopband_low,
-                stopband_high=filter_spec.stopband_high,
-                log10_passband_ripple=math.log10(filter_spec.passband_ripple),
-                log10_stopband_ripple=math.log10(filter_spec.stopband_ripple),
-            )
-        else:
-            raise TypeError(
-                f"no feature extractor for filter spec {type(filter_spec).__name__}"
-            )
-        return features
-
-    raise TypeError(f"no feature extractor for spec {type(spec).__name__}")
+    try:
+        extractor = definition_for_spec(spec).features
+    except ConfigurationError:
+        extractor = None
+    if extractor is None:
+        raise TypeError(f"no feature extractor for spec {type(spec).__name__}")
+    return extractor(spec)
 
 
 def goal_signature(goal: DesignGoal) -> str:

@@ -43,6 +43,12 @@ import sys
 from typing import Iterator, List, Optional
 
 from repro.core import BERThresholdCurve, SearchConfig
+from repro.core.metacore import (
+    MetaCore,
+    definition_for_spec,
+    metacore_definition,
+    metacore_kinds,
+)
 from repro.core.parallel import shutdown_all_pools
 from repro.errors import ConfigurationError
 from repro.observability import (
@@ -52,7 +58,6 @@ from repro.observability import (
     summarize_trace,
 )
 from repro.iir import (
-    IIRMetaCore,
     IIRSpec,
     available_structures,
     check_quantized,
@@ -79,8 +84,8 @@ from repro.viterbi import (
     build_decoder,
     describe_point,
     distance_spectrum,
-    normalize_viterbi_point,
 )
+from repro.viterbi.metacore import VITERBI_DEFINITION, point_from_args
 
 
 def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
@@ -191,6 +196,30 @@ def _add_power_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
+def _add_spec_args(parser: argparse.ArgumentParser, seed: bool = False) -> None:
+    """The ``--metacore`` flag and the spec flags of every kind."""
+    parser.add_argument("--metacore", choices=metacore_kinds(), required=True)
+    parser.add_argument(
+        "--ber", type=float, default=None, help="max BER (viterbi)"
+    )
+    parser.add_argument(
+        "--es-n0-db", type=float, default=2.0,
+        help="Es/N0 of the BER spec (dB)",
+    )
+    parser.add_argument(
+        "--throughput", type=float, default=None,
+        help="bits per second (viterbi)",
+    )
+    parser.add_argument("--feature-um", type=float, default=0.25)
+    if seed:
+        parser.add_argument("--seed", type=int, default=20010618)
+    parser.add_argument(
+        "--period-us", type=float, default=None,
+        help="sample period in us (iir)",
+    )
+    _add_power_args(parser)
+
+
 def _power_config(args: argparse.Namespace) -> Optional[PowerConfig]:
     """The ``PowerConfig`` the ``--power`` flags describe (None = off)."""
     if not getattr(args, "power", False):
@@ -279,19 +308,67 @@ def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _run_search(metacore, args: argparse.Namespace):
-    """Run a facade search, checkpointed when ``--checkpoint`` is set.
+def _search_config(args: argparse.Namespace) -> SearchConfig:
+    return SearchConfig(
+        max_resolution=args.max_resolution,
+        refine_top_k=args.top_k,
+        strategy=args.strategy,
+    )
 
-    Returns ``(result, session_or_None)``.
+
+def _facade(args: argparse.Namespace, spec, facade=MetaCore, **options):
+    """The facade a command's flags describe, with the definition's
+    default pinned parameters."""
+    return facade(
+        spec,
+        fixed=dict(definition_for_spec(spec).default_fixed),
+        config=_search_config(args),
+        workers=args.workers,
+        cache_path=args.cache,
+        atlas_path=getattr(args, "atlas", None),
+        **options,
+    )
+
+
+def _facade_search(args: argparse.Namespace, make_metacore, report=None) -> int:
+    """Search with the facade ``make_metacore(power)`` builds and report.
+
+    Checkpointed when ``--checkpoint`` is set; ``report(point,
+    metrics)`` prints the winner's lines before the energy line.
     """
-    if getattr(args, "checkpoint", None):
-        metacore.checkpoint_path = args.checkpoint
-        metacore.resume = args.resume
-        metacore.max_rounds = args.max_rounds
-        metacore.resilient = args.resilient
-        session = metacore.search_session()
-        return session.result, session
-    return metacore.search(), None
+    try:
+        metacore = make_metacore(_power_config(args))
+    except ConfigurationError as error:
+        print(f"invalid request: {error}", file=sys.stderr)
+        return 2
+    session = None
+    with _tracing(args):
+        try:
+            if args.checkpoint:
+                metacore.checkpoint_path = args.checkpoint
+                metacore.resume = args.resume
+                metacore.max_rounds = args.max_rounds
+                metacore.resilient = args.resilient
+                session = metacore.search_session()
+                result = session.result
+            else:
+                result = metacore.search()
+        except RoundBudgetExceeded as stop:
+            print(
+                f"round budget exhausted after {stop.rounds} computed "
+                f"rounds; checkpoint saved at {stop.checkpoint_path} "
+                "(rerun with --resume to continue)"
+            )
+            return 3
+    print(session.summary() if session is not None else result.summary())
+    if result.best_point is not None:
+        if report is not None:
+            report(result.best_point, result.best_metrics)
+        _print_energy_line(result.best_metrics)
+    if not result.feasible:
+        print("specification NOT FEASIBLE within the design space")
+        return 1
+    return 0
 
 
 def _add_viterbi_point_args(parser: argparse.ArgumentParser) -> None:
@@ -313,24 +390,9 @@ def _add_viterbi_point_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _point_from_args(args: argparse.Namespace) -> dict:
-    return normalize_viterbi_point(
-        {
-            "K": args.k,
-            "L_mult": args.l_mult,
-            "G": "standard",
-            "R1": args.r1,
-            "R2": args.r2,
-            "Q": args.q,
-            "N": args.n,
-            "M": args.m,
-        }
-    )
-
-
 def cmd_viterbi_ber(args: argparse.Namespace) -> int:
     """Measure the BER curve of one decoder instance."""
-    point = _point_from_args(args)
+    point = point_from_args(args)
     decoder = build_decoder(point, kernel=args.kernel)
     encoder = ConvolutionalEncoder(int(point["K"]))
     simulator = BERSimulator(
@@ -347,53 +409,20 @@ def cmd_viterbi_ber(args: argparse.Namespace) -> int:
 
 def cmd_viterbi_search(args: argparse.Namespace) -> int:
     """Run the multiresolution search for a (BER, throughput) spec."""
-    try:
-        power = _power_config(args)
-    except ConfigurationError as error:
-        print(f"invalid request: {error}", file=sys.stderr)
-        return 2
-    spec = ViterbiSpec(
-        throughput_bps=args.throughput,
-        ber_curve=BERThresholdCurve.single(args.es_n0_db, args.ber),
-        feature_um=args.feature_um,
-        power=power,
-    )
-    config = SearchConfig(
-        max_resolution=args.max_resolution, refine_top_k=args.top_k, strategy=args.strategy
-    )
-    metacore = ViterbiMetaCore(
-        spec,
-        fixed={"G": "standard", "N": 1},
-        config=config,
-        workers=args.workers,
-        cache_path=args.cache,
-        atlas_path=args.atlas,
-        kernel=args.kernel,
-    )
-    with _tracing(args):
-        try:
-            result, session = _run_search(metacore, args)
-        except RoundBudgetExceeded as stop:
-            print(
-                f"round budget exhausted after {stop.rounds} computed "
-                f"rounds; checkpoint saved at {stop.checkpoint_path} "
-                "(rerun with --resume to continue)"
-            )
-            return 3
-    print(session.summary() if session is not None else result.summary())
-    if result.best_point is not None:
-        print(f"winner: {describe_point(result.best_point)}")
-        metrics = result.best_metrics
+
+    def metacore(power):
+        spec = VITERBI_DEFINITION.spec_from_args(args, power)
+        return _facade(args, spec, ViterbiMetaCore, kernel=args.kernel)
+
+    def report(point, metrics) -> None:
+        print(f"winner: {describe_point(point)}")
         print(
             f"area = {metrics['area_mm2']:.2f} mm^2, "
             f"measured BER = {metrics.get('ber', math.nan):.3e} "
             f"(threshold {args.ber:g} at {args.es_n0_db:g} dB)"
         )
-        _print_energy_line(metrics)
-    if not result.feasible:
-        print("specification NOT FEASIBLE within the design space")
-        return 1
-    return 0
+
+    return _facade_search(args, metacore, report)
 
 
 def cmd_spectrum(args: argparse.Namespace) -> int:
@@ -444,39 +473,10 @@ def cmd_iir_noise(args: argparse.Namespace) -> int:
 
 def cmd_iir_search(args: argparse.Namespace) -> int:
     """Run the IIR MetaCore search at one sample period."""
-    try:
-        power = _power_config(args)
-    except ConfigurationError as error:
-        print(f"invalid request: {error}", file=sys.stderr)
-        return 2
-    spec = IIRSpec.paper(args.period_us, power=power)
-    config = SearchConfig(
-        max_resolution=args.max_resolution, refine_top_k=args.top_k, strategy=args.strategy
+    return _facade_search(
+        args,
+        lambda power: _facade(args, IIRSpec.paper(args.period_us, power=power)),
     )
-    metacore = IIRMetaCore(
-        spec,
-        config=config,
-        workers=args.workers,
-        cache_path=args.cache,
-        atlas_path=args.atlas,
-    )
-    with _tracing(args):
-        try:
-            result, session = _run_search(metacore, args)
-        except RoundBudgetExceeded as stop:
-            print(
-                f"round budget exhausted after {stop.rounds} computed "
-                f"rounds; checkpoint saved at {stop.checkpoint_path} "
-                "(rerun with --resume to continue)"
-            )
-            return 3
-    print(session.summary() if session is not None else result.summary())
-    if result.best_metrics is not None:
-        _print_energy_line(result.best_metrics)
-    if not result.feasible:
-        print("specification NOT FEASIBLE within the design space")
-        return 1
-    return 0
 
 
 def cmd_iir_design(args: argparse.Namespace) -> int:
@@ -512,16 +512,9 @@ def cmd_table3(args: argparse.Namespace) -> int:
             throughput_bps=throughput,
             ber_curve=BERThresholdCurve.single(args.es_n0_db, max_ber),
         )
-        metacore = ViterbiMetaCore(
-            spec, fixed={"G": "standard", "N": 1},
-            config=SearchConfig(
-                max_resolution=args.max_resolution, refine_top_k=args.top_k, strategy=args.strategy
-            ),
-            workers=args.workers,
-            cache_path=args.cache,
-            kernel=args.kernel,
-        )
-        return metacore.search()
+        return _facade(
+            args, spec, ViterbiMetaCore, kernel=args.kernel
+        ).search()
 
     sweep = SpecificationSweep(runner=run, feasibility_metric="ber_violation")
     with _tracing(args):
@@ -550,15 +543,7 @@ def cmd_table4(args: argparse.Namespace) -> int:
     periods = [5.0, 4.0, 3.0, 2.0, 1.0, 0.5, 0.25]
 
     def run(period):
-        metacore = IIRMetaCore(
-            IIRSpec.paper(period),
-            config=SearchConfig(
-                max_resolution=args.max_resolution, refine_top_k=args.top_k, strategy=args.strategy
-            ),
-            workers=args.workers,
-            cache_path=args.cache,
-        )
-        return metacore.search()
+        return _facade(args, IIRSpec.paper(period)).search()
 
     sweep = SpecificationSweep(runner=run)
     with _tracing(args):
@@ -577,111 +562,28 @@ def cmd_table4(args: argparse.Namespace) -> int:
     return 0
 
 
-def _recommend_metacore(args: argparse.Namespace):
-    """The facade a `recommend`/`sweep` invocation addresses."""
-    config = SearchConfig(
-        max_resolution=args.max_resolution, refine_top_k=args.top_k, strategy=args.strategy
-    )
-    power = _power_config(args)
-    if args.metacore == "viterbi":
-        if args.ber is None or args.throughput is None:
-            raise ConfigurationError(
-                "viterbi recommendations need --ber and --throughput"
-            )
-        spec = ViterbiSpec(
-            throughput_bps=args.throughput,
-            ber_curve=BERThresholdCurve.single(args.es_n0_db, args.ber),
-            feature_um=args.feature_um,
-            power=power,
-        )
-        return ViterbiMetaCore(
-            spec,
-            fixed={"G": "standard", "N": 1},
-            config=config,
-            workers=args.workers,
-            cache_path=args.cache,
-            atlas_path=args.atlas,
-        )
-    if args.period_us is None:
-        raise ConfigurationError("iir recommendations need --period-us")
-    return IIRMetaCore(
-        IIRSpec.paper(args.period_us, power=power),
-        config=config,
-        workers=args.workers,
-        cache_path=args.cache,
-        atlas_path=args.atlas,
-    )
-
-
 def cmd_recommend(args: argparse.Namespace) -> int:
     """Answer a constraint query from the design atlas."""
     try:
         constraints = _parse_constraints(args.constraint)
-        metacore = _recommend_metacore(args)
+        definition = metacore_definition(args.metacore)
+        spec = definition.spec_from_args(args, _power_config(args))
     except ConfigurationError as error:
         print(f"invalid request: {error}", file=sys.stderr)
         return 2
     with _tracing(args):
-        recommendation = metacore.recommend(constraints or None)
+        recommendation = _facade(args, spec).recommend(constraints or None)
     print(recommendation.summary())
-    if args.metacore == "viterbi" and recommendation.point is not None:
-        print(f"instance: {describe_point(recommendation.point)}")
+    _print_instance(definition, recommendation.point)
     return 0 if recommendation.feasible else 1
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """Populate the atlas from a portfolio of specifications."""
-    config = SearchConfig(
-        max_resolution=args.max_resolution, refine_top_k=args.top_k, strategy=args.strategy
-    )
     try:
-        power = _power_config(args)
-        if args.metacore == "viterbi":
-            if not args.specs:
-                raise ConfigurationError(
-                    "viterbi sweeps need --specs BER:THROUGHPUT ..."
-                )
-            pairs = []
-            for token in args.specs:
-                ber_s, sep, thr_s = token.partition(":")
-                if not sep:
-                    raise ConfigurationError(
-                        f"spec {token!r} is not BER:THROUGHPUT"
-                    )
-                pairs.append((float(ber_s), float(thr_s)))
-            specs = [
-                ViterbiSpec(
-                    throughput_bps=throughput,
-                    ber_curve=BERThresholdCurve.single(args.es_n0_db, ber),
-                    feature_um=args.feature_um,
-                    power=power,
-                )
-                for ber, throughput in pairs
-            ]
-            labels = [f"{b:g}@{t / 1e6:g}Mbps" for b, t in pairs]
-            prototype = ViterbiMetaCore(
-                specs[0],
-                fixed={"G": "standard", "N": 1},
-                config=config,
-                workers=args.workers,
-                cache_path=args.cache,
-                atlas_path=args.atlas,
-            )
-        else:
-            if not args.periods:
-                raise ConfigurationError("iir sweeps need --periods ...")
-            specs = [
-                IIRSpec.paper(period, power=power)
-                for period in args.periods
-            ]
-            labels = [f"{period:g} us" for period in args.periods]
-            prototype = IIRMetaCore(
-                specs[0],
-                config=config,
-                workers=args.workers,
-                cache_path=args.cache,
-                atlas_path=args.atlas,
-            )
+        definition = metacore_definition(args.metacore)
+        specs, labels = definition.sweep_from_args(args, _power_config(args))
+        prototype = _facade(args, specs[0])
     except (ConfigurationError, ValueError) as error:
         print(f"invalid sweep: {error}", file=sys.stderr)
         return 2
@@ -706,7 +608,7 @@ def cmd_atlas_report(args: argparse.Namespace) -> int:
 
 def cmd_inject_campaign(args: argparse.Namespace) -> int:
     """Sweep fault rate x storage class over one decoder instance."""
-    point = _point_from_args(args)
+    point = point_from_args(args)
     try:
         config = CampaignConfig(
             model=args.model,
@@ -783,38 +685,16 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
 def _client_spec_payload(args: argparse.Namespace) -> dict:
     """Build the wire spec payload a client subcommand describes."""
-    from repro.iir import IIRSpec
     from repro.serve import spec_to_payload
 
-    power = _power_config(args)
-    if args.metacore == "viterbi":
-        if args.ber is None or args.throughput is None:
-            raise ConfigurationError(
-                "viterbi requests need --ber and --throughput"
-            )
-        spec = ViterbiSpec(
-            throughput_bps=args.throughput,
-            ber_curve=BERThresholdCurve.single(args.es_n0_db, args.ber),
-            feature_um=args.feature_um,
-            seed=args.seed,
-            power=power,
-        )
-    else:
-        if args.period_us is None:
-            raise ConfigurationError("iir requests need --period-us")
-        spec = IIRSpec.paper(args.period_us, power=power)
-    return spec_to_payload(spec)
+    definition = metacore_definition(args.metacore)
+    return spec_to_payload(definition.spec_from_args(args, _power_config(args)))
 
 
-def _client_point(args: argparse.Namespace) -> dict:
-    if args.metacore == "viterbi":
-        return _point_from_args(args)
-    return {
-        "structure": args.structure,
-        "family": args.family,
-        "word_length": args.word,
-        "ripple_allocation": args.allocation,
-    }
+def _print_instance(definition, point, label: str = "instance") -> None:
+    """One report line for a design point, when the core describes it."""
+    if definition.describe is not None and point is not None:
+        print(f"{label}: {definition.describe(point)}")
 
 
 def _router_address(value: str):
@@ -863,6 +743,7 @@ def cmd_client(args: argparse.Namespace) -> int:
                 result = client.drain()
                 print(json.dumps(result, indent=2, sort_keys=True))
                 return 0
+            definition = metacore_definition(args.metacore)
             spec = _client_spec_payload(args)
             if args.client_command == "recommend":
                 result = client.recommend(
@@ -874,15 +755,13 @@ def cmd_client(args: argparse.Namespace) -> int:
                     },
                 )
                 print(result["summary"])
-                if (
-                    args.metacore == "viterbi"
-                    and result.get("point") is not None
-                ):
-                    print(f"instance: {describe_point(result['point'])}")
+                _print_instance(definition, result.get("point"))
                 return 0 if result.get("feasible") else 1
             if args.client_command == "eval":
                 metrics = client.eval(
-                    _client_point(args), fidelity=args.fidelity, spec=spec
+                    definition.point_from_args(args),
+                    fidelity=args.fidelity,
+                    spec=spec,
                 )
                 for name in sorted(metrics):
                     print(f"  {name} = {metrics[name]:.6g}")
@@ -896,10 +775,8 @@ def cmd_client(args: argparse.Namespace) -> int:
             result = client.search(spec=spec, config=config)
             print(result["summary"])
             if result["best_point"] is not None:
-                if args.metacore == "viterbi":
-                    print(f"winner: {describe_point(result['best_point'])}")
-                else:
-                    print(f"winner: {result['best_point']}")
+                describe = definition.describe or str
+                print(f"winner: {describe(result['best_point'])}")
             if not result["feasible"]:
                 print("specification NOT FEASIBLE within the design space")
                 return 1
@@ -1162,37 +1039,15 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_report.set_defaults(func=cmd_campaign_report)
 
-    def _add_facade_spec_args(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--metacore", choices=("viterbi", "iir"), required=True
-        )
-        sub_parser.add_argument(
-            "--ber", type=float, default=None, help="max BER (viterbi)"
-        )
-        sub_parser.add_argument(
-            "--es-n0-db", type=float, default=2.0,
-            help="Es/N0 of the BER spec (dB)",
-        )
-        sub_parser.add_argument(
-            "--throughput", type=float, default=None,
-            help="bits per second (viterbi)",
-        )
-        sub_parser.add_argument("--feature-um", type=float, default=0.25)
-        sub_parser.add_argument(
-            "--period-us", type=float, default=None,
-            help="sample period in us (iir)",
-        )
-        sub_parser.add_argument("--max-resolution", type=int, default=2)
-        sub_parser.add_argument("--top-k", type=int, default=3)
-        _add_strategy_arg(sub_parser)
-        _add_power_args(sub_parser)
-
     recommend = sub.add_parser(
         "recommend",
         help="answer a constraint query from the design atlas "
         "(zero evaluations on a library hit)",
     )
-    _add_facade_spec_args(recommend)
+    _add_spec_args(recommend)
+    recommend.add_argument("--max-resolution", type=int, default=2)
+    recommend.add_argument("--top-k", type=int, default=3)
+    _add_strategy_arg(recommend)
     recommend.add_argument(
         "--constraint", action="append", metavar="NAME=VALUE", default=None,
         help="extra upper bound on a metric (repeatable), "
@@ -1211,7 +1066,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="search a portfolio of specifications into one atlas",
     )
     sweep.add_argument(
-        "--metacore", choices=("viterbi", "iir"), required=True
+        "--metacore", choices=metacore_kinds(), required=True
     )
     sweep.add_argument(
         "--specs", nargs="+", metavar="BER:THROUGHPUT", default=None,
@@ -1371,34 +1226,11 @@ def build_parser() -> argparse.ArgumentParser:
             "--host/--port/--unix); requests shard across its replicas",
         )
 
-    def _add_spec_args(sub_parser: argparse.ArgumentParser) -> None:
-        sub_parser.add_argument(
-            "--metacore", choices=("viterbi", "iir"), required=True
-        )
-        sub_parser.add_argument(
-            "--ber", type=float, default=None, help="max BER (viterbi)"
-        )
-        sub_parser.add_argument(
-            "--es-n0-db", type=float, default=2.0,
-            help="Es/N0 of the BER spec (dB)",
-        )
-        sub_parser.add_argument(
-            "--throughput", type=float, default=None,
-            help="bits per second (viterbi)",
-        )
-        sub_parser.add_argument("--feature-um", type=float, default=0.25)
-        sub_parser.add_argument("--seed", type=int, default=20010618)
-        sub_parser.add_argument(
-            "--period-us", type=float, default=None,
-            help="sample period in us (iir)",
-        )
-        _add_power_args(sub_parser)
-
     client_eval = client_sub.add_parser(
         "eval", help="price one design point on the server"
     )
     _add_connection_args(client_eval)
-    _add_spec_args(client_eval)
+    _add_spec_args(client_eval, seed=True)
     _add_viterbi_point_args(client_eval)
     client_eval.add_argument(
         "--structure", choices=available_structures(), default="cascade",
@@ -1423,7 +1255,7 @@ def build_parser() -> argparse.ArgumentParser:
         "search", help="run a full search on the server"
     )
     _add_connection_args(client_search)
-    _add_spec_args(client_search)
+    _add_spec_args(client_search, seed=True)
     client_search.add_argument("--max-resolution", type=int, default=2)
     client_search.add_argument("--top-k", type=int, default=3)
     _add_strategy_arg(client_search)
@@ -1434,7 +1266,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="query the server's design atlas for a satisfying design",
     )
     _add_connection_args(client_recommend)
-    _add_spec_args(client_recommend)
+    _add_spec_args(client_recommend, seed=True)
     client_recommend.add_argument(
         "--constraint", action="append", metavar="NAME=VALUE", default=None,
         help="extra upper bound on a metric (repeatable)",

@@ -5,7 +5,9 @@ freedom (:mod:`~repro.core.parameters`), objective functions and
 constraints (:mod:`~repro.core.objectives`), the cost-evaluation engine
 (:mod:`~repro.core.evaluation`), and the multiresolution design-space
 search (:mod:`~repro.core.search`) with its supporting grid machinery,
-interpolation, and Bayesian BER prediction.
+interpolation, and Bayesian BER prediction.  :mod:`~repro.core.metacore`
+bundles the four into one definition per core and runs any of them
+through one facade.
 """
 
 from repro.core.parameters import (
@@ -45,13 +47,19 @@ from repro.core.bayes import (
     observation_from_counts,
 )
 from repro.core.search import MetacoreSearch, SearchConfig, SearchResult
+from repro.core.metacore import (
+    MetaCore,
+    MetaCoreDefinition,
+    definition_for_spec,
+    metacore_definition,
+    metacore_kinds,
+    register_metacore,
+)
 from repro.core.strategies import (
     STRATEGIES,
     EvolutionaryStrategy,
     SurrogateModel,
     SurrogateStrategy,
-    select_lexicographic,
-    select_weighted_sum,
     validate_strategy,
 )
 from repro.core.baselines import (
@@ -105,12 +113,16 @@ __all__ = [
     "MetacoreSearch",
     "SearchConfig",
     "SearchResult",
+    "MetaCore",
+    "MetaCoreDefinition",
+    "definition_for_spec",
+    "metacore_definition",
+    "metacore_kinds",
+    "register_metacore",
     "STRATEGIES",
     "EvolutionaryStrategy",
     "SurrogateModel",
     "SurrogateStrategy",
-    "select_lexicographic",
-    "select_weighted_sum",
     "validate_strategy",
     "ExhaustiveSearch",
     "RandomSearch",

@@ -13,11 +13,11 @@ non-correlated parameters are enumerated rather than refined.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
-from typing import Dict, Iterator, List, Mapping, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Mapping, Optional, Sequence, Tuple, Union
 
-from repro.errors import DesignSpaceError
+from repro.errors import ConfigurationError, DesignSpaceError
 
 ParameterValue = Union[int, float, str]
 Point = Dict[str, ParameterValue]
@@ -158,6 +158,31 @@ class DesignSpace:
 
     def __contains__(self, name: str) -> bool:
         return any(p.name == name for p in self.parameters)
+
+    def pinned(
+        self, fixed: Optional[Mapping[str, ParameterValue]] = None
+    ) -> "DesignSpace":
+        """This space with the ``fixed`` parameters pinned to one value.
+
+        The paper pins G and N "to speedup the search process"; a pinned
+        discrete value must be one of the parameter's values.
+        """
+        fixed = dict(fixed or {})
+        unknown = sorted(set(fixed) - set(self.names))
+        if unknown:
+            raise ConfigurationError(f"unknown fixed parameters: {unknown}")
+        parameters: List[Parameter] = []
+        for parameter in self.parameters:
+            if parameter.name in fixed:
+                value = fixed[parameter.name]
+                if isinstance(parameter, DiscreteParameter):
+                    parameter.index_of(value)  # raises if absent
+                    parameter = replace(parameter, values=(value,))
+                else:
+                    value = float(value)
+                    parameter = replace(parameter, lower=value, upper=value)
+            parameters.append(parameter)
+        return DesignSpace(parameters)
 
     def validate_point(self, point: Mapping[str, ParameterValue]) -> Point:
         """Check a point names every parameter with an in-range value."""

@@ -29,11 +29,6 @@ Both strategies leave their candidates in the search's ranked map and
 let :meth:`MetacoreSearch._confirm_winner` re-price the leaders at the
 evaluator's top fidelity — cheap evaluations rank, expensive ones
 decide, exactly as in the grid funnel.
-
-The module also provides the multi-criteria decision helpers
-:func:`select_weighted_sum` and :func:`select_lexicographic` for
-picking one design among Pareto survivors; both select only from the
-Pareto front, so their answer is a front member for *any* weighting.
 """
 
 from __future__ import annotations
@@ -44,9 +39,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.core.evaluation import EvaluationRecord, Metrics
+from repro.core.evaluation import Metrics
 from repro.core.grid import GridSample, Region
-from repro.core.objectives import DesignGoal, Objective
+from repro.core.objectives import DesignGoal
 from repro.core.parameters import (
     ContinuousParameter,
     Correlation,
@@ -55,7 +50,6 @@ from repro.core.parameters import (
     Point,
     frozen_point,
 )
-from repro.core.pareto import front_sort_key, pareto_front
 from repro.errors import ConfigurationError
 from repro.observability.metrics import get_registry
 from repro.observability.trace import get_tracer
@@ -274,97 +268,6 @@ class SurrogateModel:
 def _tie_key(key: Tuple) -> Tuple:
     """A totally ordered stand-in for a frozen point (mixed types)."""
     return tuple((name, repr(value)) for name, value in key)
-
-
-# ---------------------------------------------------------------------------
-# Multi-criteria decision helpers
-# ---------------------------------------------------------------------------
-
-
-def select_weighted_sum(
-    records: Sequence[EvaluationRecord],
-    objectives: Sequence[Objective],
-    weights: Sequence[float],
-) -> EvaluationRecord:
-    """Pick one Pareto survivor by weighted-sum scalarization.
-
-    Objective scores are min-max normalized over the front before
-    weighting, so weights express relative priorities rather than unit
-    conversions.  The candidate pool is the Pareto front itself, so the
-    selection is a front member for any non-negative weighting; ties
-    break on the front's deterministic sort key.
-    """
-    if len(weights) != len(objectives):
-        raise ConfigurationError(
-            f"{len(objectives)} objectives need {len(objectives)} weights, "
-            f"got {len(weights)}"
-        )
-    if any(w < 0 for w in weights):
-        raise ConfigurationError("MCDM weights must be non-negative")
-    front = pareto_front(records, objectives)
-    if not front:
-        raise ConfigurationError("no records to select from")
-    columns = []
-    for objective in objectives:
-        scores = [objective.score(record.metrics) for record in front]
-        finite = [s for s in scores if math.isfinite(s)]
-        lo = min(finite) if finite else 0.0
-        hi = max(finite) if finite else 0.0
-        span = hi - lo
-        cap = 1.0 if finite else 0.0
-        columns.append(
-            [
-                (min(max((s - lo) / span, 0.0), 1.0) if span > 0 else 0.0)
-                if math.isfinite(s)
-                else cap
-                for s in scores
-            ]
-        )
-    totals = [
-        sum(weight * column[i] for weight, column in zip(weights, columns))
-        for i in range(len(front))
-    ]
-    best_index = min(
-        range(len(front)),
-        key=lambda i: (totals[i], front_sort_key(front[i], objectives)),
-    )
-    return front[best_index]
-
-
-def select_lexicographic(
-    records: Sequence[EvaluationRecord],
-    objectives: Sequence[Objective],
-    priority: Optional[Sequence[str]] = None,
-) -> EvaluationRecord:
-    """Pick one Pareto survivor by strict objective priority.
-
-    ``priority`` names objectives most-important first (default: the
-    order given).  The winner minimizes the first objective's score,
-    breaking ties with the next, and so on; the final tie-break is the
-    front's deterministic sort key, and the pool is the Pareto front,
-    so the answer is always a front member.
-    """
-    front = pareto_front(records, objectives)
-    if not front:
-        raise ConfigurationError("no records to select from")
-    by_name = {objective.metric: objective for objective in objectives}
-    if priority is None:
-        ordered = list(objectives)
-    else:
-        unknown = [name for name in priority if name not in by_name]
-        if unknown:
-            raise ConfigurationError(
-                f"priority names unknown objectives: {', '.join(unknown)}"
-            )
-        ordered = [by_name[name] for name in priority]
-        ordered.extend(o for o in objectives if o.metric not in set(priority))
-    return min(
-        front,
-        key=lambda record: (
-            tuple(objective.score(record.metrics) for objective in ordered),
-            front_sort_key(record, objectives),
-        ),
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -4,10 +4,10 @@ Provides the area and throughput halves of the paper's cost-evaluation
 engine: a VLIW machine model with a resource-constrained scheduler fed
 by analytic operation traces (for the Viterbi MetaCore), and a
 HYPER-style behavioral-synthesis estimator (for the IIR MetaCore).
-The per-operation energy model (:class:`EnergyEstimate` /
-:func:`estimate_energy`) is the dynamic-energy base of the power-aware
-cost engine in :mod:`repro.power`, which adds technology/DVFS scaling
-and storage leakage on top.
+The per-operation energy model of the VLIW machine
+(:func:`repro.power.estimate_energy`) lives with the power-aware cost
+engine in :mod:`repro.power`, which adds technology/DVFS scaling and
+storage leakage on top.
 """
 
 from repro.hardware.opcounts import OperationCounts
@@ -38,7 +38,6 @@ from repro.hardware.listsched import (
     list_schedule,
     minimum_resources,
 )
-from repro.hardware.power import EnergyEstimate, estimate_energy
 from repro.hardware.synthesis import (
     DataflowStats,
     SynthesisEstimate,
@@ -72,8 +71,6 @@ __all__ = [
     "dfg_from_sections",
     "list_schedule",
     "minimum_resources",
-    "EnergyEstimate",
-    "estimate_energy",
     "DataflowStats",
     "SynthesisEstimate",
     "add_delay_ns",

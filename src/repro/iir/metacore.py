@@ -9,18 +9,21 @@ The cost-evaluation engine designs the filter, realizes it in the
 chosen structure, quantizes the coefficients, measures the quantized
 response against the full specification (SPW's role in the paper), and
 prices the implementation with the HYPER-style synthesis estimator.
+
+:data:`IIR_DEFINITION` registers the bundle under the kind ``"iir"``;
+:class:`IIRMetaCore` binds the generic
+:class:`~repro.core.metacore.MetaCore` facade to it.
 """
 
 from __future__ import annotations
 
-import math
 import dataclasses
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+import math
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.evalcache import PersistentEvalCache
+from repro.core.metacore import MetaCore, MetaCoreDefinition, register_metacore
 from repro.core.objectives import Constraint, DesignGoal, Objective
-from repro.core.parallel import ParallelEvaluator
 from repro.core.parameters import (
     ContinuousParameter,
     Correlation,
@@ -28,7 +31,6 @@ from repro.core.parameters import (
     DiscreteParameter,
     Point,
 )
-from repro.core.search import MetacoreSearch, SearchConfig, SearchResult
 from repro.errors import ConfigurationError, FilterDesignError, SynthesisError
 from repro.hardware.synthesis import SynthesisEstimate, estimate_iir_implementation
 from repro.iir.design import (
@@ -60,59 +62,35 @@ FAMILIES: Tuple[str, ...] = (
 
 def iir_design_space(fixed: Optional[Dict[str, object]] = None) -> DesignSpace:
     """Structure x family x word length x ripple allocation."""
-    fixed = dict(fixed or {})
-    definitions = [
-        DiscreteParameter(
-            "structure",
-            tuple(available_structures()),
-            Correlation.NONE,
-            "realization topology",
-        ),
-        DiscreteParameter(
-            "family",
-            FAMILIES,
-            Correlation.NONE,
-            "approximation family (sets order/stages)",
-        ),
-        DiscreteParameter(
-            "word_length",
-            WORD_LENGTHS,
-            Correlation.MONOTONIC,
-            "coefficient word length (bits)",
-        ),
-    ]
-    parameters = []
-    for definition in definitions:
-        if definition.name in fixed:
-            value = fixed.pop(definition.name)
-            definition.index_of(value)
-            definition = DiscreteParameter(
-                definition.name,
-                (value,),
-                definition.correlation,
-                definition.description,
-            )
-        parameters.append(definition)
-    if "ripple_allocation" in fixed:
-        value = float(fixed.pop("ripple_allocation"))
-        parameters.append(
-            ContinuousParameter(
-                "ripple_allocation", value, value, Correlation.QUADRATIC
-            )
-        )
-    else:
-        parameters.append(
+    return DesignSpace(
+        [
+            DiscreteParameter(
+                "structure",
+                tuple(available_structures()),
+                Correlation.NONE,
+                "realization topology",
+            ),
+            DiscreteParameter(
+                "family",
+                FAMILIES,
+                Correlation.NONE,
+                "approximation family (sets order/stages)",
+            ),
+            DiscreteParameter(
+                "word_length",
+                WORD_LENGTHS,
+                Correlation.MONOTONIC,
+                "coefficient word length (bits)",
+            ),
             ContinuousParameter(
                 "ripple_allocation",
                 0.3,
                 0.9,
                 Correlation.QUADRATIC,
                 "fraction of the ripple budget spent by the nominal design",
-            )
-        )
-    if fixed:
-        raise ConfigurationError(f"unknown fixed parameters: {sorted(fixed)}")
-    return DesignSpace(parameters)
+            ),
+        ]
+    ).pinned(fixed)
 
 
 @dataclass
@@ -127,8 +105,8 @@ class IIRSpec:
     power: Optional[PowerConfig] = None
 
     def __post_init__(self) -> None:
-        if self.sample_period_us <= 0:
-            raise ConfigurationError("sample period must be positive")
+        if not math.isfinite(self.sample_period_us) or self.sample_period_us <= 0:
+            raise ConfigurationError("sample period must be positive and finite")
 
     @classmethod
     def paper(
@@ -177,23 +155,11 @@ def _margin_spec(spec: FilterSpec, allocation: float) -> FilterSpec:
     """
     if not 0.05 <= allocation <= 1.0:
         raise ConfigurationError("ripple allocation out of (0.05, 1]")
-    if isinstance(spec, LowpassSpec):
-        return LowpassSpec(
-            spec.passband_edge,
-            spec.stopband_edge,
-            allocation * spec.passband_ripple,
-            allocation * spec.stopband_ripple,
-        )
-    if isinstance(spec, BandpassSpec):
-        return BandpassSpec(
-            spec.passband_low,
-            spec.passband_high,
-            spec.stopband_low,
-            spec.stopband_high,
-            allocation * spec.passband_ripple,
-            allocation * spec.stopband_ripple,
-        )
-    raise ConfigurationError(f"unsupported spec type {type(spec).__name__}")
+    return dataclasses.replace(
+        spec,
+        passband_ripple=allocation * spec.passband_ripple,
+        stopband_ripple=allocation * spec.stopband_ripple,
+    )
 
 
 class IIRMetacoreEvaluator:
@@ -310,261 +276,124 @@ class IIRMetacoreEvaluator:
         return metrics
 
 
+# ---------------------------------------------------------------------------
+# Definition + facade binding
+# ---------------------------------------------------------------------------
+
+
+#: Filter spec types by their wire ``"type"`` tag.
+_FILTER_TYPES = {"lowpass": LowpassSpec, "bandpass": BandpassSpec}
+
+
+def _encode_spec(spec: IIRSpec) -> Dict[str, Any]:
+    filter_spec = spec.filter_spec
+    for filter_type, cls in _FILTER_TYPES.items():
+        if isinstance(filter_spec, cls):
+            break
+    else:
+        raise ConfigurationError(
+            f"unsupported filter spec {type(filter_spec).__name__}"
+        )
+    payload: Dict[str, Any] = {
+        "sample_period_us": spec.sample_period_us,
+        "feature_um": spec.feature_um,
+        "filter": {"type": filter_type, **dataclasses.asdict(filter_spec)},
+    }
+    if spec.power is not None:
+        payload["power"] = spec.power.to_payload()
+    return payload
+
+
+def _decode_spec(payload: Dict[str, Any]) -> IIRSpec:
+    filter_payload = payload.get("filter")
+    if not isinstance(filter_payload, dict):
+        raise ConfigurationError("iir spec needs a filter object")
+    filter_type = filter_payload.get("type")
+    cls = _FILTER_TYPES.get(filter_type)
+    if cls is None:
+        raise ConfigurationError(f"unknown filter spec type {filter_type!r}")
+    return IIRSpec(
+        filter_spec=cls(
+            *(float(filter_payload[f.name]) for f in dataclasses.fields(cls))
+        ),
+        sample_period_us=float(payload["sample_period_us"]),
+        feature_um=float(payload.get("feature_um", 1.2)),
+        power=PowerConfig.from_payload(payload.get("power")),
+    )
+
+
+def _spec_features(spec: IIRSpec) -> Dict[str, float]:
+    """Sample period and filter edges; the period and ripples in log10."""
+    filter_spec = spec.filter_spec
+    if not isinstance(filter_spec, tuple(_FILTER_TYPES.values())):
+        raise TypeError(
+            f"no feature extractor for filter spec {type(filter_spec).__name__}"
+        )
+    features = {
+        "log10_period_us": math.log10(spec.sample_period_us),
+        "feature_um": float(spec.feature_um),
+    }
+    for name, value in dataclasses.asdict(filter_spec).items():
+        if name.endswith("_ripple"):
+            features[f"log10_{name}"] = math.log10(value)
+        else:
+            features[name] = value
+    return features
+
+
+def _spec_from_args(args: Any, power: Optional[PowerConfig]) -> IIRSpec:
+    if args.period_us is None:
+        raise ConfigurationError("iir specs need --period-us")
+    return IIRSpec.paper(args.period_us, power=power)
+
+
+def _sweep_from_args(
+    args: Any, power: Optional[PowerConfig]
+) -> Tuple[List[IIRSpec], List[str]]:
+    if not args.periods:
+        raise ConfigurationError("iir sweeps need --periods ...")
+    specs = [IIRSpec.paper(period, power=power) for period in args.periods]
+    return specs, [f"{period:g} us" for period in args.periods]
+
+
+def _point_from_args(args: Any) -> Point:
+    return {
+        "structure": args.structure,
+        "family": args.family,
+        "word_length": args.word,
+        "ripple_allocation": args.allocation,
+    }
+
+
+def build_realization(spec: IIRSpec, point: Point) -> Realization:
+    """The quantized realization a design point describes."""
+    realization = IIRMetacoreEvaluator(spec)._realization(
+        str(point["structure"]),
+        str(point["family"]),
+        float(point["ripple_allocation"]),
+    )
+    return realization.quantized(int(point["word_length"]))
+
+
+IIR_DEFINITION = register_metacore(
+    MetaCoreDefinition(
+        kind="iir",
+        spec_type=IIRSpec,
+        encode=_encode_spec,
+        decode=_decode_spec,
+        design_space=iir_design_space,
+        evaluator=IIRMetacoreEvaluator,
+        build=build_realization,
+        features=_spec_features,
+        spec_from_args=_spec_from_args,
+        sweep_from_args=_sweep_from_args,
+        point_from_args=_point_from_args,
+    )
+)
+
+
 @dataclass
-class IIRMetaCore:
+class IIRMetaCore(MetaCore):
     """Facade: specification in, optimized realization out."""
 
     spec: IIRSpec
-    fixed: Dict[str, object] = field(default_factory=dict)
-    config: Optional[SearchConfig] = None
-    #: Worker processes for grid evaluation (1 = serial in-process).
-    workers: int = 1
-    #: Path of the persistent cross-run evaluation cache (None = cold).
-    cache_path: Optional[str] = None
-    #: Crash-tolerant session checkpoint (see :mod:`repro.resilience`).
-    checkpoint_path: Optional[str] = None
-    #: Resume from an existing checkpoint instead of starting cold.
-    resume: bool = False
-    #: Abort (checkpoint intact) after this many computed rounds.
-    max_rounds: Optional[int] = None
-    #: Wrap the evaluator in the retry/quarantine shim.
-    resilient: bool = False
-    #: Path of the persistent design atlas (None = no library): searches
-    #: warm-start from it and ingest their logs back into it.
-    atlas_path: Optional[str] = None
-    #: Search strategy override ("grid", "evolve" or "surrogate");
-    #: None defers to :attr:`config` (whose own default is "grid").
-    strategy: Optional[str] = None
-
-    def design_space(self) -> DesignSpace:
-        """Structure x family x word length x ripple allocation."""
-        return iir_design_space(self.fixed)
-
-    def _effective_config(self) -> Optional[SearchConfig]:
-        """:attr:`config` with the :attr:`strategy` override applied."""
-        if self.strategy is None:
-            return self.config
-        return replace(self.config or SearchConfig(), strategy=self.strategy)
-
-    def _open_atlas(self, engine: "IIRMetacoreEvaluator"):
-        """(atlas, seeder) for this scenario, or (None, None)."""
-        if not self.atlas_path:
-            return None, None
-        # Imported lazily: repro.atlas dispatches on the spec types.
-        from repro.atlas import DesignAtlas, seeder_for
-
-        atlas = DesignAtlas(self.atlas_path)
-        seeder = seeder_for(atlas, engine, "iir", self.spec, self.spec.goal())
-        return atlas, seeder
-
-    def search(self) -> SearchResult:
-        """Run the multiresolution search for this specification."""
-        if self.checkpoint_path:
-            return self.search_session().result
-        engine = IIRMetacoreEvaluator(self.spec)
-        atlas, seeder = self._open_atlas(engine)
-        try:
-            return self._run_search(engine, atlas, seeder)
-        finally:
-            if atlas is not None:
-                atlas.close()
-
-    def _run_search(self, engine, atlas, seeder) -> SearchResult:
-        """One search against an already-open atlas handle (or None)."""
-        evaluator: object = engine
-        parallel: Optional[ParallelEvaluator] = None
-        store: Optional[PersistentEvalCache] = None
-        try:
-            if self.workers and self.workers > 1:
-                parallel = ParallelEvaluator(evaluator, workers=self.workers)
-                evaluator = parallel
-            if self.cache_path:
-                store = PersistentEvalCache(self.cache_path)
-            searcher = MetacoreSearch(
-                self.design_space(),
-                self.spec.goal(),
-                evaluator,
-                config=self._effective_config(),
-                store=store,
-                atlas=seeder,
-            )
-            result = searcher.run()
-            if atlas is not None:
-                from repro.atlas import ingest_result
-
-                ingest_result(
-                    atlas, seeder, result.log.records, engine.max_fidelity
-                )
-            return result
-        finally:
-            if parallel is not None:
-                parallel.close()
-            if store is not None:
-                store.close()
-
-    def search_session(self):
-        """Run the search as a checkpointed, resumable session.
-
-        Returns a :class:`~repro.resilience.session.SessionResult`;
-        requires :attr:`checkpoint_path`.
-        """
-        # Imported lazily: repro.resilience depends on this package.
-        from repro.resilience.session import SearchSession
-
-        if not self.checkpoint_path:
-            raise ConfigurationError("search_session requires checkpoint_path")
-        engine = IIRMetacoreEvaluator(self.spec)
-        evaluator: object = engine
-        parallel: Optional[ParallelEvaluator] = None
-        store: Optional[PersistentEvalCache] = None
-        atlas, seeder = self._open_atlas(engine)
-        try:
-            if self.workers and self.workers > 1:
-                parallel = ParallelEvaluator(evaluator, workers=self.workers)
-                evaluator = parallel
-            if self.cache_path:
-                store = PersistentEvalCache(self.cache_path)
-            session = SearchSession(
-                self.design_space(),
-                self.spec.goal(),
-                evaluator,
-                self.checkpoint_path,
-                config=self._effective_config(),
-                store=store,
-                resume=self.resume,
-                max_rounds=self.max_rounds,
-                resilient=self.resilient,
-                atlas=seeder,
-            )
-            session_result = session.run()
-            if atlas is not None:
-                from repro.atlas import ingest_result
-
-                ingest_result(
-                    atlas,
-                    seeder,
-                    session_result.result.log.records,
-                    engine.max_fidelity,
-                )
-            return session_result
-        finally:
-            if parallel is not None:
-                parallel.close()
-            if store is not None:
-                store.close()
-            if atlas is not None:
-                atlas.close()
-
-    def serve(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        unix_path: Optional[str] = None,
-        config: Optional[object] = None,
-        replicas: int = 1,
-    ):
-        """Serve this MetaCore's evaluation engine to concurrent clients.
-
-        Starts the asyncio evaluation service (socket server on a
-        background thread) with this facade's ``workers`` /
-        ``cache_path`` / ``resilient`` settings and a pre-warmed
-        session for this specification; returns a started
-        :class:`~repro.serve.server.ServeHandle` (context manager).
-        Results are bit-identical to one-shot evaluation — see
-        ``docs/serving.md``.
-
-        With ``replicas > 1`` this becomes cluster mode: N replica
-        services plus a fingerprint-sharded router front door, returned
-        as a started :class:`~repro.cluster.handle.ClusterHandle` with
-        the same ``client()``/``stop()`` surface.  Replicas share the
-        design atlas; results stay bit-identical — see
-        ``docs/cluster.md``.
-        """
-        # Imported lazily: repro.serve depends on this module.
-        from repro.serve import ServeHandle, ServiceConfig, spec_to_payload
-
-        if config is None:
-            config = ServiceConfig(
-                workers=self.workers,
-                cache_path=self.cache_path,
-                resilient=self.resilient,
-                atlas_path=self.atlas_path,
-            )
-        if replicas > 1:
-            from repro.cluster import ClusterHandle
-
-            cluster = ClusterHandle(
-                config, replicas=replicas, host=host, port=port
-            )
-            cluster.start()
-            cluster.register_spec(self.spec)
-            return cluster
-        handle = ServeHandle(
-            config, host=host, port=port, unix_path=unix_path
-        )
-        handle.start()
-        handle.service.session_for_spec(spec_to_payload(self.spec))
-        return handle
-
-    def recommend(self, constraints: Optional[Dict[str, float]] = None):
-        """Answer a constraint query from the design atlas.
-
-        ``constraints`` are extra per-query upper bounds on metrics
-        (e.g. ``{"area_mm2": 8.0}``) tightening the specification's
-        goal.  A stored frontier design covering the query is returned
-        with **zero evaluations**; a library miss falls back to a
-        (warm-started) :meth:`search`, whose log is ingested so the
-        next nearby query hits.  Requires :attr:`atlas_path`; returns a
-        :class:`~repro.atlas.recommend.Recommendation`.
-        """
-        if not self.atlas_path:
-            raise ConfigurationError("recommend requires atlas_path")
-        # Imported lazily: repro.atlas dispatches on the spec types.
-        from repro.atlas import DesignAtlas, recommend, seeder_for
-
-        engine = IIRMetacoreEvaluator(self.spec)
-        with DesignAtlas(self.atlas_path) as atlas:
-            seeder = seeder_for(atlas, engine, "iir", self.spec, self.spec.goal())
-            recommendation = recommend(
-                atlas,
-                seeder.fingerprint,
-                self.spec.goal(),
-                constraints=constraints,
-                fallback=self._recommend_fallback(atlas, seeder),
-            )
-        return recommendation
-
-    def _recommend_fallback(self, atlas, seeder):
-        """A warm-started search over the already-open atlas handle."""
-
-        def fallback() -> SearchResult:
-            engine = IIRMetacoreEvaluator(self.spec)
-            return self._run_search(engine, atlas, seeder)
-
-        return fallback
-
-    def sweep(
-        self,
-        specs: Sequence[IIRSpec],
-        labels: Optional[Sequence[str]] = None,
-    ):
-        """Search a portfolio of specifications into one atlas.
-
-        Each spec runs through a copy of this facade (same fixed
-        parameters, config, workers, cache, atlas); returns a
-        :class:`~repro.atlas.sweep.SweepOutcome`.
-        """
-        from repro.atlas import run_sweep
-
-        metacores = [dataclasses.replace(self, spec=spec) for spec in specs]
-        return run_sweep(metacores, labels=labels)
-
-    def build(self, point: Point) -> Realization:
-        """The quantized realization a design point describes."""
-        evaluator = IIRMetacoreEvaluator(self.spec)
-        realization = evaluator._realization(
-            str(point["structure"]),
-            str(point["family"]),
-            float(point["ripple_allocation"]),
-        )
-        return realization.quantized(int(point["word_length"]))

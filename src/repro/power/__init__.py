@@ -7,7 +7,9 @@ voltage against clock frequency (:mod:`repro.power.dvfs`), a storage
 model charges standby leakage (:mod:`repro.power.storage`), and
 :class:`PowerModel` prices whole implementations into
 energy-per-item / average-power metrics the search layer can
-optimize and constrain (:mod:`repro.power.model`).
+optimize and constrain (:mod:`repro.power.model`, which also holds
+the per-operation dynamic-energy model :func:`estimate_energy` of the
+VLIW machine).
 """
 
 from repro.power.dvfs import (
@@ -19,7 +21,13 @@ from repro.power.dvfs import (
     frequency_scale,
     max_frequency_mhz,
 )
-from repro.power.model import PowerConfig, PowerModel, PowerReport
+from repro.power.model import (
+    EnergyEstimate,
+    PowerConfig,
+    PowerModel,
+    PowerReport,
+    estimate_energy,
+)
 from repro.power.storage import LEAKAGE_NW_PER_BIT, leakage_power_mw
 from repro.power.technology import (
     TECHNOLOGY_NODES,
@@ -31,6 +39,7 @@ from repro.power.technology import (
 __all__ = [
     "ALPHA",
     "DVFS_UPPER_RATIO",
+    "EnergyEstimate",
     "LEAKAGE_NW_PER_BIT",
     "NEAR_THRESHOLD_MARGIN_V",
     "OperatingPoint",
@@ -41,6 +50,7 @@ __all__ = [
     "TechnologyNode",
     "VDD_REFERENCE_V",
     "dvfs_bounds",
+    "estimate_energy",
     "frequency_scale",
     "leakage_power_mw",
     "max_frequency_mhz",

@@ -3,11 +3,23 @@
 ``PowerConfig`` is the opt-in knob a spec carries: *which* technology
 node and supply to price at, and *what* energy/power budget the search
 must respect.  ``PowerModel`` does the pricing — it combines the
-per-operation dynamic energies of :mod:`repro.hardware.power`
-(re-quoted at the 0.35 um / 3.3 V anchor, then scaled by the node's
-capacitance factor and the classic V^2 supply dependence) with the
-storage leakage of :mod:`repro.power.storage`, and reports
-energy-per-item and average-power metrics for both kernel families.
+per-operation dynamic energies of :func:`estimate_energy` (re-quoted
+at the 0.35 um / 3.3 V anchor, then scaled by the node's capacitance
+factor and the classic V^2 supply dependence) with the storage leakage
+of :mod:`repro.power.storage`, and reports energy-per-item and
+average-power metrics for both kernel families.
+
+The per-operation energy model of the VLIW machine lives here too.
+Trimaran-era studies reported per-operation energies alongside cycle
+counts; an algorithm-level optimizer cares because area and energy pull
+in different directions (a wide machine finishes sooner but burns more
+per cycle).  :func:`estimate_energy` prices a leveled program the same
+way the area model prices the machine: per-operation energies by
+resource class, scaled with datapath width (linear) and supply/feature
+size (the classic ~alpha^3 dynamic-energy scaling when voltage tracks
+feature size), plus per-cycle clock-tree and leakage overheads.
+Constants are representative of late-1990s embedded cores (anchored,
+like the area model, at the TR4101's 0.35 um generation).
 """
 
 from __future__ import annotations
@@ -17,20 +29,87 @@ from typing import Any, Dict, Optional
 
 from repro.errors import ConfigurationError
 from repro.hardware.clock import TR4101_FEATURE_UM, TR4101_WIDTH_BITS
-from repro.hardware.power import (
-    ALU_ENERGY_PJ,
-    CYCLE_OVERHEAD_PJ_PER_SLOT,
-    MULT_ENERGY_PJ,
-    estimate_energy,
-)
 from repro.hardware.synthesis import DataflowStats, SynthesisEstimate
-from repro.hardware.vliw import LeveledProgram, MachineConfig
+from repro.hardware.vliw import LeveledProgram, MachineConfig, schedule
 from repro.power.dvfs import OperatingPoint
 from repro.power.storage import leakage_power_mw
 from repro.power.technology import (
     VDD_REFERENCE_V,
     technology_node,
 )
+
+# Per-operation energies at 0.35 um, 32-bit datapath, in picojoules.
+ALU_ENERGY_PJ = 35.0
+MULT_ENERGY_PJ = 220.0
+MEMORY_ENERGY_PJ = 110.0
+BRANCH_ENERGY_PJ = 25.0
+
+#: Clock tree + idle-datapath energy per machine cycle, pJ per issue slot.
+CYCLE_OVERHEAD_PJ_PER_SLOT = 6.0
+
+#: Voltage is assumed to scale with feature size (constant-field
+#: scaling), so dynamic energy scales with the cube of the feature.
+ENERGY_FEATURE_EXPONENT = 3.0
+
+
+def _scale(feature_um: float, width_bits: int) -> float:
+    if feature_um <= 0:
+        raise ConfigurationError("feature size must be positive")
+    if width_bits < 1:
+        raise ConfigurationError("datapath width must be positive")
+    feature = (feature_um / TR4101_FEATURE_UM) ** ENERGY_FEATURE_EXPONENT
+    width = min(width_bits, TR4101_WIDTH_BITS) / TR4101_WIDTH_BITS
+    return feature * width
+
+
+@dataclass(frozen=True)
+class EnergyEstimate:
+    """Energy breakdown for one iteration of a kernel (e.g. per bit)."""
+
+    operation_pj: float
+    overhead_pj: float
+
+    @property
+    def total_pj(self) -> float:
+        return self.operation_pj + self.overhead_pj
+
+    @property
+    def total_nj(self) -> float:
+        return self.total_pj / 1000.0
+
+    def power_mw(self, throughput_per_s: float) -> float:
+        """Average power at a given iteration rate."""
+        if throughput_per_s <= 0:
+            raise ConfigurationError("throughput must be positive")
+        return self.total_pj * 1e-12 * throughput_per_s * 1e3
+
+
+def estimate_energy(
+    program: LeveledProgram, machine: MachineConfig
+) -> EnergyEstimate:
+    """Energy of one program iteration on a machine.
+
+    Operation energy counts the work actually executed; overhead
+    charges the clock tree and idle slots for every scheduled cycle —
+    which is how an over-wide machine loses on energy even when it wins
+    on throughput.
+    """
+    counts = program.op_counts
+    scale = _scale(machine.feature_um, machine.datapath_width)
+    operation = (
+        counts.alu * ALU_ENERGY_PJ
+        + counts.mult * MULT_ENERGY_PJ
+        + counts.memory * MEMORY_ENERGY_PJ
+        + counts.branch * BRANCH_ENERGY_PJ
+    ) * scale
+    result = schedule(program, machine)
+    # Spill traffic is memory work the register file couldn't hold.
+    operation += result.spill_ops * MEMORY_ENERGY_PJ * scale
+    overhead = (
+        result.cycles * machine.issue_width * CYCLE_OVERHEAD_PJ_PER_SLOT * scale
+    )
+    return EnergyEstimate(operation_pj=operation, overhead_pj=overhead)
+
 
 
 @dataclass(frozen=True)

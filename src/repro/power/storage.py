@@ -1,7 +1,7 @@
 """Storage/leakage power for survivor memory and register files.
 
 Dynamic energy is priced per executed operation by
-:mod:`repro.hardware.power`; what that misses is the standby power of
+:func:`repro.power.model.estimate_energy`; what that misses is the standby power of
 the bits a design keeps alive whether or not it is switching — the
 Viterbi survivor memory and register file, the IIR state registers.
 In the style of cacti-p's per-cell leakage model, we charge a constant

@@ -11,7 +11,7 @@ the generations our cost models span (HYPER's 1.2 um library down to
 
 The 0.35 um row is the anchor of the whole power subsystem: its
 nominal supply (3.3 V) is the reference voltage of the per-operation
-energies in :mod:`repro.hardware.power`, and its leakage factor is 1.
+energies in :mod:`repro.power.model`, and its leakage factor is 1.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from repro.errors import ConfigurationError
 from repro.hardware.clock import TR4101_FEATURE_UM
 
 #: Nominal supply of the anchor generation — the voltage the
-#: per-operation energy constants in ``hardware/power.py`` are quoted
+#: per-operation energy constants in ``power/model.py`` are quoted
 #: at (LSI Logic's 0.35 um process ran at 3.3 V).
 VDD_REFERENCE_V = 3.3
 
@@ -60,7 +60,7 @@ class TechnologyNode:
 
         Gate/wire capacitance shrinks linearly with feature size
         (constant-field scaling), which is the same assumption the
-        cube-law in ``hardware/power.py`` decomposes into C * V^2.
+        cube-law in ``power/model.py`` decomposes into C * V^2.
         """
         return self.feature_um / TR4101_FEATURE_UM
 

@@ -53,7 +53,7 @@ from repro.resilience.faults import (
     FaultSpec,
 )
 from repro.viterbi.ber import BERSimulator, DEFAULT_SEED
-from repro.viterbi.channel import AWGNChannel
+from repro.viterbi.channels import AWGNChannel
 from repro.viterbi.encoder import ConvolutionalEncoder
 from repro.viterbi.metacore import (
     build_decoder,

@@ -43,6 +43,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
+from repro.core.metacore import definition_for_spec, metacore_definition
 from repro.errors import ConfigurationError
 
 #: Bumped on incompatible message-shape changes.
@@ -102,121 +103,28 @@ def error_response(
 
 
 def spec_to_payload(spec: object) -> Dict[str, Any]:
-    """Serialize a ViterbiSpec/IIRSpec into a wire-safe plain dict."""
-    from repro.iir.design import BandpassSpec, LowpassSpec
-    from repro.iir.metacore import IIRSpec
-    from repro.viterbi.metacore import ViterbiSpec
-
-    if isinstance(spec, ViterbiSpec):
-        payload = {
-            "kind": "viterbi",
-            "throughput_bps": spec.throughput_bps,
-            "ber_curve": [list(pair) for pair in spec.ber_curve.points],
-            "feature_um": spec.feature_um,
-            "seed": spec.seed,
-        }
-        # Only power-enabled specs carry the key: the power-off wire
-        # format stays byte-identical to pre-power clients/servers.
-        if spec.power is not None:
-            payload["power"] = spec.power.to_payload()
-        return payload
-    if isinstance(spec, IIRSpec):
-        filter_spec = spec.filter_spec
-        if isinstance(filter_spec, LowpassSpec):
-            filter_payload = {
-                "type": "lowpass",
-                "passband_edge": filter_spec.passband_edge,
-                "stopband_edge": filter_spec.stopband_edge,
-                "passband_ripple": filter_spec.passband_ripple,
-                "stopband_ripple": filter_spec.stopband_ripple,
-            }
-        elif isinstance(filter_spec, BandpassSpec):
-            filter_payload = {
-                "type": "bandpass",
-                "passband_low": filter_spec.passband_low,
-                "passband_high": filter_spec.passband_high,
-                "stopband_low": filter_spec.stopband_low,
-                "stopband_high": filter_spec.stopband_high,
-                "passband_ripple": filter_spec.passband_ripple,
-                "stopband_ripple": filter_spec.stopband_ripple,
-            }
-        else:
-            raise ConfigurationError(
-                f"unsupported filter spec {type(filter_spec).__name__}"
-            )
-        payload = {
-            "kind": "iir",
-            "sample_period_us": spec.sample_period_us,
-            "feature_um": spec.feature_um,
-            "filter": filter_payload,
-        }
-        if spec.power is not None:
-            payload["power"] = spec.power.to_payload()
-        return payload
-    raise ConfigurationError(
-        f"cannot serialize specification of type {type(spec).__name__}"
-    )
+    """Serialize a registered MetaCore specification into a plain dict."""
+    definition = definition_for_spec(spec)
+    return {"kind": definition.kind, **definition.encode(spec)}
 
 
 def spec_from_payload(payload: Dict[str, Any]) -> object:
-    """Reconstruct a ViterbiSpec/IIRSpec from a wire payload."""
+    """Reconstruct a specification from a wire payload.
+
+    Dispatches on the payload's ``kind`` through the MetaCore registry.
+    A malformed payload (missing field, short pair, non-numeric value)
+    raises :class:`ConfigurationError`, which the server answers as
+    ``bad_request``.
+    """
     if not isinstance(payload, dict):
         raise ConfigurationError("spec payload must be an object")
-    kind = payload.get("kind")
-    if kind == "viterbi":
-        from repro.core.objectives import BERThresholdCurve
-        from repro.power import PowerConfig
-        from repro.viterbi.ber import DEFAULT_SEED
-        from repro.viterbi.metacore import ViterbiSpec
-
-        curve_points = payload.get("ber_curve")
-        if not curve_points:
-            raise ConfigurationError("viterbi spec needs ber_curve points")
-        curve = BERThresholdCurve(
-            points=tuple(
-                (float(es), float(thr)) for es, thr in curve_points
-            )
-        )
-        return ViterbiSpec(
-            throughput_bps=float(payload["throughput_bps"]),
-            ber_curve=curve,
-            feature_um=float(payload.get("feature_um", 0.25)),
-            seed=int(payload.get("seed", DEFAULT_SEED)),
-            power=PowerConfig.from_payload(payload.get("power")),
-        )
-    if kind == "iir":
-        from repro.iir.design import BandpassSpec, LowpassSpec
-        from repro.iir.metacore import IIRSpec
-        from repro.power import PowerConfig
-
-        filter_payload = payload.get("filter")
-        if not isinstance(filter_payload, dict):
-            raise ConfigurationError("iir spec needs a filter object")
-        filter_type = filter_payload.get("type")
-        if filter_type == "lowpass":
-            filter_spec = LowpassSpec(
-                float(filter_payload["passband_edge"]),
-                float(filter_payload["stopband_edge"]),
-                float(filter_payload["passband_ripple"]),
-                float(filter_payload["stopband_ripple"]),
-            )
-        elif filter_type == "bandpass":
-            filter_spec = BandpassSpec(
-                float(filter_payload["passband_low"]),
-                float(filter_payload["passband_high"]),
-                float(filter_payload["stopband_low"]),
-                float(filter_payload["stopband_high"]),
-                float(filter_payload["passband_ripple"]),
-                float(filter_payload["stopband_ripple"]),
-            )
-        else:
-            raise ConfigurationError(
-                f"unknown filter spec type {filter_type!r}"
-            )
-        return IIRSpec(
-            filter_spec=filter_spec,
-            sample_period_us=float(payload["sample_period_us"]),
-            feature_um=float(payload.get("feature_um", 1.2)),
-            power=PowerConfig.from_payload(payload.get("power")),
-        )
-    raise ConfigurationError(f"unknown spec kind {kind!r}")
+    definition = metacore_definition(payload.get("kind"))
+    try:
+        return definition.decode(payload)
+    except ConfigurationError:
+        raise
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigurationError(
+            f"malformed {definition.kind} spec payload: "
+            f"{type(exc).__name__}: {exc}"
+        ) from None

@@ -41,6 +41,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.evalcache import PersistentEvalCache, evaluator_fingerprint
 from repro.core.evaluation import CachingEvaluator, Evaluator, Metrics
+from repro.core.metacore import definition_for_spec, metacore_definition
 from repro.core.parallel import ParallelEvaluator
 from repro.core.parameters import Point
 from repro.core.search import MetacoreSearch, SearchConfig
@@ -64,16 +65,8 @@ def evaluator_for_payload(
     derive the *same* evaluator fingerprint from the same payload.
     """
     spec = spec_from_payload(payload)
-    kind = str(payload.get("kind"))
-    if kind == "viterbi":
-        from repro.viterbi.metacore import ViterbiMetacoreEvaluator
-
-        evaluator: Evaluator = ViterbiMetacoreEvaluator(spec)
-    else:
-        from repro.iir.metacore import IIRMetacoreEvaluator
-
-        evaluator = IIRMetacoreEvaluator(spec)
-    return kind, spec, evaluator
+    definition = definition_for_spec(spec)
+    return definition.kind, spec, definition.evaluator(spec)
 
 
 def fingerprint_for_payload(payload: Dict[str, Any]) -> str:
@@ -662,25 +655,10 @@ class EvaluationService:
         config_fields: Dict[str, Any],
         fixed: Dict[str, Any],
     ):
-        if session.kind == "viterbi":
-            from repro.viterbi.metacore import (
-                normalize_viterbi_point,
-                viterbi_design_space,
-            )
-
-            space = viterbi_design_space(
-                fixed or {"G": "standard", "N": 1}
-            )
-            normalizer = normalize_viterbi_point
-        elif session.kind == "iir":
-            from repro.iir.metacore import iir_design_space
-
-            space = iir_design_space(fixed or None)
-            normalizer = None
-        else:
-            raise ConfigurationError(
-                f"session kind {session.kind!r} does not support search"
-            )
+        definition = metacore_definition(session.kind)
+        space = definition.design_space(
+            fixed or dict(definition.default_fixed)
+        )
         config = SearchConfig(**config_fields)
         seeder = self._atlas_seeder(session)
         searcher = MetacoreSearch(
@@ -688,7 +666,7 @@ class EvaluationService:
             session.spec.goal(),
             _ServeEvaluatorProxy(self, session),
             config=config,
-            normalizer=normalizer,
+            normalizer=definition.normalizer,
             atlas=seeder,
         )
         with get_tracer().span("serve.search", session=session.kind):

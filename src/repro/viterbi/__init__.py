@@ -16,11 +16,9 @@ from repro.viterbi.polynomials import (
 from repro.viterbi.encoder import ConvolutionalEncoder
 from repro.viterbi.trellis import Trellis, trellis_for
 from repro.viterbi.channels import (
+    AWGNChannel,
     BinarySymmetricChannel,
     RayleighFadingChannel,
-)
-from repro.viterbi.channel import (
-    AWGNChannel,
     bpsk_modulate,
     es_n0_db_to_linear,
     es_n0_linear_to_db,

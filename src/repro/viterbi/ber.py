@@ -22,7 +22,7 @@ from repro.observability.metrics import get_registry
 from repro.observability.trace import get_tracer, trace_event
 from repro.utils.rng import derive_seed, make_rng
 from repro.utils.stats import binomial_confidence_interval, mean_improvement_percent
-from repro.viterbi.channel import AWGNChannel
+from repro.viterbi.channels import AWGNChannel
 from repro.viterbi.decoder import ViterbiDecoder
 from repro.viterbi.encoder import ConvolutionalEncoder
 from repro.viterbi.puncture import PuncturePattern

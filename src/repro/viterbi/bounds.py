@@ -33,7 +33,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 
 from repro.errors import ConfigurationError
-from repro.viterbi.channel import es_n0_db_to_linear
+from repro.viterbi.channels import es_n0_db_to_linear
 from repro.viterbi.encoder import ConvolutionalEncoder
 from repro.viterbi.trellis import Trellis
 

@@ -1,8 +1,14 @@
-"""Additional channel models beyond AWGN.
+"""Channel models: BPSK over AWGN, plus harsher channels beyond it.
 
-The paper simulates the AWGN channels of satellite and cable links
-(Sec. 3.1).  A deployable Viterbi MetaCore also gets characterized on
-harsher channels; this module adds the two standard ones:
+The paper measures decoder BER by software simulation of an additive
+white Gaussian noise channel (the model for atmospheric/environmental
+noise in satellite and cable links, Sec. 3.1).  Channel quality is
+parameterized by the per-symbol energy-to-noise-density ratio
+``Es/N0``; Table 3 specifies BER targets "at Es/N0 = 1.0" (linear, i.e.
+0 dB), so both linear and dB entry points are provided.
+
+A deployable Viterbi MetaCore also gets characterized on harsher
+channels; this module adds the two standard ones:
 
 - :class:`BinarySymmetricChannel` — the hard abstraction: each channel
   symbol flips with probability p.  Useful for analytic cross-checks
@@ -15,9 +21,7 @@ harsher channels; this module adds the two standard ones:
 
 All channels share the AWGN channel's interface (``transmit`` + a
 ``sigma`` the adaptive quantizer reads), so every decoder in the
-library runs on them unchanged.  :class:`AWGNChannel` itself is
-re-exported here so this module is the one-stop import for every
-channel model.
+library runs on them unchanged.
 """
 
 from __future__ import annotations
@@ -29,18 +33,68 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.utils.rng import SeedLike, make_rng
-from repro.viterbi.channel import (
-    AWGNChannel,
-    bpsk_modulate,
-    es_n0_db_to_linear,
-    noise_sigma,
-)
 
-__all__ = [
-    "AWGNChannel",
-    "BinarySymmetricChannel",
-    "RayleighFadingChannel",
-]
+
+def es_n0_db_to_linear(es_n0_db: float) -> float:
+    """Convert an Es/N0 value in dB to the linear ratio."""
+    return 10.0 ** (es_n0_db / 10.0)
+
+
+def es_n0_linear_to_db(es_n0: float) -> float:
+    """Convert a linear Es/N0 ratio to dB."""
+    if es_n0 <= 0:
+        raise ConfigurationError("Es/N0 must be positive")
+    return 10.0 * math.log10(es_n0)
+
+
+def noise_sigma(es_n0_db: float) -> float:
+    """Noise standard deviation for unit-energy BPSK symbols.
+
+    With symbol energy ``Es = 1`` and two-sided noise density ``N0/2``,
+    the per-sample Gaussian noise variance is ``N0/2 = 1/(2 Es/N0)``.
+    """
+    return math.sqrt(1.0 / (2.0 * es_n0_db_to_linear(es_n0_db)))
+
+
+def bpsk_modulate(symbols: np.ndarray) -> np.ndarray:
+    """Map channel bits to antipodal amplitudes: 0 -> +1, 1 -> -1."""
+    symbols = np.asarray(symbols)
+    return 1.0 - 2.0 * symbols.astype(float)
+
+
+@dataclass
+class AWGNChannel:
+    """An additive white Gaussian noise channel at a fixed Es/N0.
+
+    The channel knows its own noise level; decoders with *adaptive*
+    quantization read :attr:`sigma` to place their decision levels
+    (paper Fig. 4), while *fixed* quantization ignores it.
+    """
+
+    es_n0_db: float
+
+    def __post_init__(self) -> None:
+        self.sigma = noise_sigma(self.es_n0_db)
+
+    @classmethod
+    def from_linear(cls, es_n0: float) -> "AWGNChannel":
+        """Build a channel from a linear Es/N0 ratio (paper's Table 3 units)."""
+        return cls(es_n0_linear_to_db(es_n0))
+
+    def transmit(self, symbols: np.ndarray, rng: SeedLike = None) -> np.ndarray:
+        """Modulate 0/1 channel symbols and add Gaussian noise."""
+        generator = make_rng(rng)
+        clean = bpsk_modulate(symbols)
+        return clean + generator.normal(0.0, self.sigma, size=clean.shape)
+
+    def uncoded_ber(self) -> float:
+        """Theoretical uncoded BPSK bit error rate ``Q(sqrt(2 Es/N0))``.
+
+        Useful as a sanity reference for the coded simulations.
+        """
+        ratio = es_n0_db_to_linear(self.es_n0_db)
+        return 0.5 * math.erfc(math.sqrt(ratio))
+
 
 
 @dataclass

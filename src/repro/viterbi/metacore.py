@@ -8,32 +8,32 @@ Bundles the four MetaCore components for the Viterbi driver:
 - the cost-evaluation engine: union-bound BER estimation at the lowest
   fidelity, Monte-Carlo simulation with growing bit budgets above it,
   and the Trimaran-stand-in machine model for area/throughput;
-- glue to run the multiresolution search and to build the concrete
-  decoder for any design point.
+- the concrete decoder for any design point.
+
+:data:`VITERBI_DEFINITION` registers the bundle under the kind
+``"viterbi"``; :class:`ViterbiMetaCore` binds the generic
+:class:`~repro.core.metacore.MetaCore` facade to it.
 """
 
 from __future__ import annotations
 
 import math
-import dataclasses
-from dataclasses import dataclass, field, replace
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple
 
-from repro.core.evalcache import PersistentEvalCache
+from repro.core.metacore import MetaCore, MetaCoreDefinition, register_metacore
 from repro.core.objectives import (
     BERThresholdCurve,
     Constraint,
     DesignGoal,
     Objective,
 )
-from repro.core.parallel import ParallelEvaluator
 from repro.core.parameters import (
     Correlation,
     DesignSpace,
     DiscreteParameter,
     Point,
 )
-from repro.core.search import MetacoreSearch, SearchConfig, SearchResult
 from repro.errors import ConfigurationError, SynthesisError
 from repro.hardware.trace import ViterbiInstanceParams, viterbi_program
 from repro.hardware.vliw import ImplementationEstimate, optimize_machine
@@ -80,60 +80,49 @@ def viterbi_design_space(
     ``M = 0`` encodes pure (non-multiresolution) decoding; positive M
     is the number of recomputed high-resolution paths.
     """
-    fixed = dict(fixed or {})
-    definitions = [
-        DiscreteParameter(
-            "K", (3, 4, 5, 6, 7), Correlation.MONOTONIC, "constraint length"
-        ),
-        DiscreteParameter(
-            "L_mult",
-            (1, 2, 3, 4, 5, 6, 7),
-            Correlation.MONOTONIC,
-            "trace-back depth in multiples of K",
-        ),
-        DiscreteParameter(
-            "G",
-            ("standard",),
-            Correlation.NONE,
-            "encoder polynomials (standard = best-known for K)",
-        ),
-        DiscreteParameter(
-            "R1", (1, 2, 3), Correlation.MONOTONIC, "low-resolution bits"
-        ),
-        DiscreteParameter(
-            "R2", (2, 3, 4, 5), Correlation.MONOTONIC, "high-resolution bits"
-        ),
-        DiscreteParameter(
-            "Q",
-            ("hard", "fixed", "adaptive"),
-            Correlation.NONE,
-            "quantization method",
-        ),
-        DiscreteParameter(
-            "N", (1, 2, 3, 4), Correlation.MONOTONIC, "normalization branches"
-        ),
-        DiscreteParameter(
-            "M",
-            (0, 1, 2, 4, 8, 16, 32, 64),
-            Correlation.MONOTONIC,
-            "multiresolution paths (0 = pure decoding)",
-        ),
-    ]
-    parameters = []
-    for definition in definitions:
-        if definition.name in fixed:
-            value = fixed.pop(definition.name)
-            definition.index_of(value)  # validate
-            definition = DiscreteParameter(
-                definition.name,
-                (value,),
-                definition.correlation,
-                definition.description,
-            )
-        parameters.append(definition)
-    if fixed:
-        raise ConfigurationError(f"unknown fixed parameters: {sorted(fixed)}")
-    return DesignSpace(parameters)
+    return DesignSpace(
+        [
+            DiscreteParameter(
+                "K", (3, 4, 5, 6, 7), Correlation.MONOTONIC,
+                "constraint length",
+            ),
+            DiscreteParameter(
+                "L_mult",
+                (1, 2, 3, 4, 5, 6, 7),
+                Correlation.MONOTONIC,
+                "trace-back depth in multiples of K",
+            ),
+            DiscreteParameter(
+                "G",
+                ("standard",),
+                Correlation.NONE,
+                "encoder polynomials (standard = best-known for K)",
+            ),
+            DiscreteParameter(
+                "R1", (1, 2, 3), Correlation.MONOTONIC, "low-resolution bits"
+            ),
+            DiscreteParameter(
+                "R2", (2, 3, 4, 5), Correlation.MONOTONIC,
+                "high-resolution bits",
+            ),
+            DiscreteParameter(
+                "Q",
+                ("hard", "fixed", "adaptive"),
+                Correlation.NONE,
+                "quantization method",
+            ),
+            DiscreteParameter(
+                "N", (1, 2, 3, 4), Correlation.MONOTONIC,
+                "normalization branches",
+            ),
+            DiscreteParameter(
+                "M",
+                (0, 1, 2, 4, 8, 16, 32, 64),
+                Correlation.MONOTONIC,
+                "multiresolution paths (0 = pure decoding)",
+            ),
+        ]
+    ).pinned(fixed)
 
 
 def normalize_viterbi_point(point: Point) -> Point:
@@ -260,8 +249,8 @@ class ViterbiSpec:
     power: Optional[PowerConfig] = None
 
     def __post_init__(self) -> None:
-        if self.throughput_bps <= 0:
-            raise ConfigurationError("throughput must be positive")
+        if not math.isfinite(self.throughput_bps) or self.throughput_bps <= 0:
+            raise ConfigurationError("throughput must be positive and finite")
 
     def goal(self) -> DesignGoal:
         """Minimize area subject to the specification's BER curve.
@@ -502,261 +491,135 @@ class ViterbiMetacoreEvaluator:
         return metrics
 
 
+# ---------------------------------------------------------------------------
+# Definition + facade binding
+# ---------------------------------------------------------------------------
+
+
+def _encode_spec(spec: ViterbiSpec) -> Dict[str, Any]:
+    payload: Dict[str, Any] = {
+        "throughput_bps": spec.throughput_bps,
+        "ber_curve": [list(pair) for pair in spec.ber_curve.points],
+        "feature_um": spec.feature_um,
+        "seed": spec.seed,
+    }
+    # Only power-enabled specs carry the key: the power-off wire
+    # format stays byte-identical to pre-power clients/servers.
+    if spec.power is not None:
+        payload["power"] = spec.power.to_payload()
+    return payload
+
+
+def _decode_spec(payload: Dict[str, Any]) -> ViterbiSpec:
+    curve_points = payload.get("ber_curve")
+    if not curve_points:
+        raise ConfigurationError("viterbi spec needs ber_curve points")
+    curve = BERThresholdCurve(
+        points=tuple((float(es), float(thr)) for es, thr in curve_points)
+    )
+    return ViterbiSpec(
+        throughput_bps=float(payload["throughput_bps"]),
+        ber_curve=curve,
+        feature_um=float(payload.get("feature_um", 0.25)),
+        seed=int(payload.get("seed", DEFAULT_SEED)),
+        power=PowerConfig.from_payload(payload.get("power")),
+    )
+
+
+def _spec_features(spec: ViterbiSpec) -> Dict[str, float]:
+    """Throughput and BER curve; rates and BERs enter in log10."""
+    features = {
+        "log10_throughput": math.log10(spec.throughput_bps),
+        "feature_um": float(spec.feature_um),
+    }
+    for index, (es_n0_db, ber) in enumerate(spec.ber_curve.points):
+        features[f"es_n0_db_{index}"] = float(es_n0_db)
+        features[f"log10_ber_{index}"] = math.log10(ber)
+    return features
+
+
+def _cli_spec(
+    args: Any, power: Optional[PowerConfig], ber: float, throughput: float
+) -> ViterbiSpec:
+    return ViterbiSpec(
+        throughput_bps=throughput,
+        ber_curve=BERThresholdCurve.single(args.es_n0_db, ber),
+        feature_um=args.feature_um,
+        seed=getattr(args, "seed", DEFAULT_SEED),
+        power=power,
+    )
+
+
+def _spec_from_args(args: Any, power: Optional[PowerConfig]) -> ViterbiSpec:
+    if args.ber is None or args.throughput is None:
+        raise ConfigurationError("viterbi specs need --ber and --throughput")
+    return _cli_spec(args, power, args.ber, args.throughput)
+
+
+def _sweep_from_args(
+    args: Any, power: Optional[PowerConfig]
+) -> Tuple[List[ViterbiSpec], List[str]]:
+    if not args.specs:
+        raise ConfigurationError("viterbi sweeps need --specs BER:THROUGHPUT ...")
+    specs, labels = [], []
+    for token in args.specs:
+        ber_s, sep, throughput_s = token.partition(":")
+        if not sep:
+            raise ConfigurationError(f"spec {token!r} is not BER:THROUGHPUT")
+        ber, throughput = float(ber_s), float(throughput_s)
+        specs.append(_cli_spec(args, power, ber, throughput))
+        labels.append(f"{ber:g}@{throughput / 1e6:g}Mbps")
+    return specs, labels
+
+
+def point_from_args(args: Any) -> Point:
+    """The (normalized) design point of the ``--k/--l-mult/...`` flags."""
+    return normalize_viterbi_point(
+        {
+            "K": args.k,
+            "L_mult": args.l_mult,
+            "G": "standard",
+            "R1": args.r1,
+            "R2": args.r2,
+            "Q": args.q,
+            "N": args.n,
+            "M": args.m,
+        }
+    )
+
+
+VITERBI_DEFINITION = register_metacore(
+    MetaCoreDefinition(
+        kind="viterbi",
+        spec_type=ViterbiSpec,
+        encode=_encode_spec,
+        decode=_decode_spec,
+        design_space=viterbi_design_space,
+        evaluator=ViterbiMetacoreEvaluator,
+        build=lambda spec, point: build_decoder(point),
+        normalizer=normalize_viterbi_point,
+        features=_spec_features,
+        # The paper fixes G and N "to speedup the search process".
+        default_fixed={"G": "standard", "N": 1},
+        spec_from_args=_spec_from_args,
+        sweep_from_args=_sweep_from_args,
+        point_from_args=point_from_args,
+        describe=describe_point,
+    )
+)
+
+
 @dataclass
-class ViterbiMetaCore:
+class ViterbiMetaCore(MetaCore):
     """Facade: specification in, optimized decoder instance out."""
 
     spec: ViterbiSpec
-    fixed: Dict[str, object] = field(default_factory=dict)
-    config: Optional[SearchConfig] = None
-    #: Worker processes for grid evaluation (1 = serial in-process).
-    workers: int = 1
-    #: Path of the persistent cross-run evaluation cache (None = cold).
-    cache_path: Optional[str] = None
-    #: Crash-tolerant session checkpoint (see :mod:`repro.resilience`).
-    checkpoint_path: Optional[str] = None
-    #: Resume from an existing checkpoint instead of starting cold.
-    resume: bool = False
-    #: Abort (checkpoint intact) after this many computed rounds.
-    max_rounds: Optional[int] = None
-    #: Wrap the evaluator in the retry/quarantine shim.
-    resilient: bool = False
-    #: Path of the persistent design atlas (None = no library): searches
-    #: warm-start from it and ingest their logs back into it.
-    atlas_path: Optional[str] = None
     #: Decode kernel for cost evaluation ("fused" or "reference");
     #: results are bit-identical, only wall-clock differs.
     kernel: str = "fused"
-    #: Search strategy override ("grid", "evolve" or "surrogate");
-    #: None defers to :attr:`config` (whose own default is "grid").
-    strategy: Optional[str] = None
 
-    def design_space(self) -> DesignSpace:
-        """The Table-2 space with this MetaCore's fixed parameters."""
-        return viterbi_design_space(self.fixed)
-
-    def _effective_config(self) -> Optional[SearchConfig]:
-        """:attr:`config` with the :attr:`strategy` override applied."""
-        if self.strategy is None:
-            return self.config
-        return replace(self.config or SearchConfig(), strategy=self.strategy)
-
-    def _open_atlas(self, engine: ViterbiMetacoreEvaluator):
-        """(atlas, seeder) for this scenario, or (None, None)."""
-        if not self.atlas_path:
-            return None, None
-        # Imported lazily: repro.atlas dispatches on the spec types.
-        from repro.atlas import DesignAtlas, seeder_for
-
-        atlas = DesignAtlas(self.atlas_path)
-        seeder = seeder_for(atlas, engine, "viterbi", self.spec, self.spec.goal())
-        return atlas, seeder
-
-    def search(self) -> SearchResult:
-        """Run the multiresolution search for this specification."""
-        if self.checkpoint_path:
-            return self.search_session().result
-        engine = ViterbiMetacoreEvaluator(self.spec, kernel=self.kernel)
-        atlas, seeder = self._open_atlas(engine)
-        try:
-            return self._run_search(engine, atlas, seeder)
-        finally:
-            if atlas is not None:
-                atlas.close()
-
-    def _run_search(self, engine, atlas, seeder) -> SearchResult:
-        """One search against an already-open atlas handle (or None)."""
-        evaluator: object = engine
-        parallel: Optional[ParallelEvaluator] = None
-        store: Optional[PersistentEvalCache] = None
-        try:
-            if self.workers and self.workers > 1:
-                parallel = ParallelEvaluator(evaluator, workers=self.workers)
-                evaluator = parallel
-            if self.cache_path:
-                store = PersistentEvalCache(self.cache_path)
-            searcher = MetacoreSearch(
-                self.design_space(),
-                self.spec.goal(),
-                evaluator,
-                config=self._effective_config(),
-                normalizer=normalize_viterbi_point,
-                store=store,
-                atlas=seeder,
-            )
-            result = searcher.run()
-            if atlas is not None:
-                from repro.atlas import ingest_result
-
-                ingest_result(
-                    atlas, seeder, result.log.records, engine.max_fidelity
-                )
-            return result
-        finally:
-            if parallel is not None:
-                parallel.close()
-            if store is not None:
-                store.close()
-
-    def search_session(self):
-        """Run the search as a checkpointed, resumable session.
-
-        Returns a :class:`~repro.resilience.session.SessionResult`;
-        requires :attr:`checkpoint_path`.
-        """
-        # Imported lazily: repro.resilience depends on this module.
-        from repro.resilience.session import SearchSession
-
-        if not self.checkpoint_path:
-            raise ConfigurationError("search_session requires checkpoint_path")
-        engine = ViterbiMetacoreEvaluator(self.spec, kernel=self.kernel)
-        evaluator: object = engine
-        parallel: Optional[ParallelEvaluator] = None
-        store: Optional[PersistentEvalCache] = None
-        atlas, seeder = self._open_atlas(engine)
-        try:
-            if self.workers and self.workers > 1:
-                parallel = ParallelEvaluator(evaluator, workers=self.workers)
-                evaluator = parallel
-            if self.cache_path:
-                store = PersistentEvalCache(self.cache_path)
-            session = SearchSession(
-                self.design_space(),
-                self.spec.goal(),
-                evaluator,
-                self.checkpoint_path,
-                config=self._effective_config(),
-                normalizer=normalize_viterbi_point,
-                store=store,
-                resume=self.resume,
-                max_rounds=self.max_rounds,
-                resilient=self.resilient,
-                atlas=seeder,
-            )
-            session_result = session.run()
-            if atlas is not None:
-                from repro.atlas import ingest_result
-
-                ingest_result(
-                    atlas,
-                    seeder,
-                    session_result.result.log.records,
-                    engine.max_fidelity,
-                )
-            return session_result
-        finally:
-            if parallel is not None:
-                parallel.close()
-            if store is not None:
-                store.close()
-            if atlas is not None:
-                atlas.close()
-
-    def serve(
-        self,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        unix_path: Optional[str] = None,
-        config: Optional[object] = None,
-        replicas: int = 1,
-    ):
-        """Serve this MetaCore's evaluation engine to concurrent clients.
-
-        Starts the asyncio evaluation service (socket server on a
-        background thread) with this facade's ``workers`` /
-        ``cache_path`` / ``resilient`` settings and a pre-warmed
-        session for this specification; returns a started
-        :class:`~repro.serve.server.ServeHandle` (context manager).
-        Results are bit-identical to one-shot evaluation — see
-        ``docs/serving.md``.
-
-        With ``replicas > 1`` this becomes cluster mode: N replica
-        services plus a fingerprint-sharded router front door, returned
-        as a started :class:`~repro.cluster.handle.ClusterHandle` with
-        the same ``client()``/``stop()`` surface.  Replicas share the
-        design atlas; results stay bit-identical — see
-        ``docs/cluster.md``.
-        """
-        # Imported lazily: repro.serve depends on this module.
-        from repro.serve import ServeHandle, ServiceConfig, spec_to_payload
-
-        if config is None:
-            config = ServiceConfig(
-                workers=self.workers,
-                cache_path=self.cache_path,
-                resilient=self.resilient,
-                atlas_path=self.atlas_path,
-            )
-        if replicas > 1:
-            from repro.cluster import ClusterHandle
-
-            cluster = ClusterHandle(
-                config, replicas=replicas, host=host, port=port
-            )
-            cluster.start()
-            cluster.register_spec(self.spec)
-            return cluster
-        handle = ServeHandle(
-            config, host=host, port=port, unix_path=unix_path
-        )
-        handle.start()
-        handle.service.session_for_spec(spec_to_payload(self.spec))
-        return handle
-
-    def recommend(self, constraints: Optional[Dict[str, float]] = None):
-        """Answer a constraint query from the design atlas.
-
-        ``constraints`` are extra per-query upper bounds on metrics
-        (e.g. ``{"area_mm2": 40.0}``) tightening the specification's
-        goal.  A stored frontier design covering the query is returned
-        with **zero evaluations**; a library miss falls back to a
-        (warm-started) :meth:`search`, whose log is ingested so the
-        next nearby query hits.  Requires :attr:`atlas_path`; returns a
-        :class:`~repro.atlas.recommend.Recommendation`.
-        """
-        if not self.atlas_path:
-            raise ConfigurationError("recommend requires atlas_path")
-        # Imported lazily: repro.atlas dispatches on the spec types.
-        from repro.atlas import DesignAtlas, recommend, seeder_for
-
-        engine = ViterbiMetacoreEvaluator(self.spec, kernel=self.kernel)
-        with DesignAtlas(self.atlas_path) as atlas:
-            seeder = seeder_for(
-                atlas, engine, "viterbi", self.spec, self.spec.goal()
-            )
-            recommendation = recommend(
-                atlas,
-                seeder.fingerprint,
-                self.spec.goal(),
-                constraints=constraints,
-                fallback=self._recommend_fallback(atlas, seeder),
-            )
-        return recommendation
-
-    def _recommend_fallback(self, atlas, seeder):
-        """A warm-started search over the already-open atlas handle."""
-
-        def fallback() -> SearchResult:
-            engine = ViterbiMetacoreEvaluator(self.spec, kernel=self.kernel)
-            return self._run_search(engine, atlas, seeder)
-
-        return fallback
-
-    def sweep(
-        self,
-        specs: Sequence[ViterbiSpec],
-        labels: Optional[Sequence[str]] = None,
-    ):
-        """Search a portfolio of specifications into one atlas.
-
-        Each spec runs through a copy of this facade (same fixed
-        parameters, config, workers, cache, atlas); returns a
-        :class:`~repro.atlas.sweep.SweepOutcome`.
-        """
-        from repro.atlas import run_sweep
-
-        metacores = [dataclasses.replace(self, spec=spec) for spec in specs]
-        return run_sweep(metacores, labels=labels)
+    def _engine(self) -> ViterbiMetacoreEvaluator:
+        return ViterbiMetacoreEvaluator(self.spec, kernel=self.kernel)
 
     def build(self, point: Point) -> ViterbiDecoder:
         """Construct the concrete decoder for a design point."""

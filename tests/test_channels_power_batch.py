@@ -20,7 +20,7 @@ from repro.core import (
 from repro.core.batch import SpecificationSweep
 from repro.errors import ConfigurationError
 from repro.hardware import MachineConfig, ViterbiInstanceParams, viterbi_program
-from repro.hardware.power import EnergyEstimate, estimate_energy
+from repro.power import EnergyEstimate, estimate_energy
 from repro.viterbi import (
     AdaptiveQuantizer,
     BERSimulator,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -128,3 +130,50 @@ class TestTracing:
         code = main(["trace-report", str(tmp_path / "nope.jsonl")])
         assert code == 1
         assert "cannot read" in capsys.readouterr().err
+
+
+#: Per MetaCore: sweep portfolio flags, its scenario count, the spec
+#: flags of one swept scenario, and the command of a warm search.  The
+#: Viterbi portfolio is one scenario to keep the run short.
+ATLAS_FLOWS = {
+    "viterbi": (
+        ["--es-n0-db", "0", "--specs", "1e-1:1e6"],
+        1,
+        ["--es-n0-db", "0", "--ber", "1e-1", "--throughput", "1e6"],
+        "viterbi-search",
+    ),
+    "iir": (["--periods", "2.0", "1.5"], 2, ["--period-us", "2.0"], "iir-search"),
+}
+
+
+class TestAtlasEndToEnd:
+    """sweep -> zero-evaluation recommend -> warm search, per MetaCore."""
+
+    @pytest.mark.parametrize("kind", sorted(ATLAS_FLOWS))
+    def test_sweep_recommend_warm_search(self, kind, capsys, tmp_path):
+        sweep_flags, scenarios, spec_flags, search_command = ATLAS_FLOWS[kind]
+        atlas = str(tmp_path / "atlas.jsonl")
+        budget = ["--max-resolution", "1", "--top-k", "1"]
+
+        code = main(
+            ["sweep", "--metacore", kind, "--atlas", atlas, *budget, *sweep_flags]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert f"atlas: {scenarios} scenarios" in out
+        assert "atlas-warm" in out
+
+        code = main(
+            ["recommend", "--metacore", kind, "--atlas", atlas, *budget, *spec_flags]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "source: atlas" in out
+        assert "evaluations: 0" in out
+        assert "feasible: True" in out
+
+        code = main([search_command, "--atlas", atlas, *budget, *spec_flags])
+        out = capsys.readouterr().out
+        assert code == 0, out
+        replayed = re.search(r"atlas: \d+ seeds / (\d+) replayed", out)
+        assert replayed is not None and int(replayed.group(1)) > 0, out

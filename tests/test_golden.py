@@ -89,7 +89,7 @@ def _viterbi_pipeline_vectors() -> Dict[str, Any]:
         ViterbiDecoder,
         bpsk_modulate,
     )
-    from repro.viterbi.channel import AWGNChannel
+    from repro.viterbi.channels import AWGNChannel
 
     encoder = ConvolutionalEncoder(3)
     rng = np.random.default_rng(SEED)
@@ -298,6 +298,53 @@ def _iir_search_selection() -> Dict[str, Any]:
     }
 
 
+def _golden_specs() -> Dict[str, Any]:
+    """Specs of both kinds (both IIR filter types), power off and on."""
+    from repro.core import BERThresholdCurve
+    from repro.iir import IIRSpec
+    from repro.iir.design import LowpassSpec
+    from repro.power import PowerConfig
+    from repro.viterbi import ViterbiSpec
+
+    lowpass = LowpassSpec(0.2, 0.3, 0.05, 0.01)
+    power = PowerConfig(tech_node_um=0.18, vdd_v=1.5, max_power_mw=80.0)
+    specs: Dict[str, Any] = {}
+    for label, config in (("off", None), ("on", power)):
+        specs[f"viterbi_power_{label}"] = ViterbiSpec(
+            throughput_bps=2e6,
+            ber_curve=BERThresholdCurve(points=((1.0, 5e-2), (3.0, 1e-3))),
+            power=config,
+        )
+        specs[f"iir_bandpass_power_{label}"] = IIRSpec.paper(1.5, power=config)
+        specs[f"iir_lowpass_power_{label}"] = IIRSpec(
+            filter_spec=lowpass, sample_period_us=0.75, power=config
+        )
+    return specs
+
+
+def _spec_payload_vectors() -> Dict[str, Any]:
+    from repro.serve import (
+        fingerprint_for_payload,
+        spec_from_payload,
+        spec_to_payload,
+    )
+
+    vectors: Dict[str, Any] = {}
+    for label, spec in _golden_specs().items():
+        payload = spec_to_payload(spec)
+        wire = json.dumps(payload, separators=(",", ":"), sort_keys=True)
+        decoded = spec_from_payload(json.loads(wire))
+        vectors[label] = {
+            "payload": wire,
+            "fingerprint": fingerprint_for_payload(payload),
+            "round_trip_equal": decoded == spec,
+            "round_trip_payload": json.dumps(
+                spec_to_payload(decoded), separators=(",", ":"), sort_keys=True
+            ),
+        }
+    return vectors
+
+
 # ---------------------------------------------------------------------------
 # The conformance gates
 # ---------------------------------------------------------------------------
@@ -374,3 +421,10 @@ class TestGoldenServe:
             frozen["best_point"], 0
         )
         assert served == serial
+
+
+class TestGoldenSpecPayloads:
+    """Wire payloads and fingerprints of specs stay byte-identical."""
+
+    def test_payloads_and_fingerprints(self, regen_golden):
+        check_golden("spec_payloads", _spec_payload_vectors(), regen_golden)

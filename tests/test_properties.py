@@ -21,8 +21,6 @@ from repro.core import (
     DiscreteParameter,
     Region,
     SurrogateModel,
-    select_lexicographic,
-    select_weighted_sum,
 )
 from repro.core.evaluation import EvaluationRecord
 from repro.core.objectives import Direction, Objective
@@ -274,7 +272,7 @@ class TestTailbitingProperties:
         """At 10 dB Es/N0 (hard-decision flip probability ~4e-6, and
         any lone flip is inside the code's correction radius) both
         decodes still recover the message."""
-        from repro.viterbi.channel import AWGNChannel
+        from repro.viterbi.channels import AWGNChannel
 
         encoder = ConvolutionalEncoder(k)
         decoder = ViterbiDecoder(
@@ -459,18 +457,6 @@ class TestStrategyProperties:
         ]
     )
 
-    OBJECTIVES = [
-        Objective("a", Direction.MINIMIZE),
-        Objective("b", Direction.MAXIMIZE),
-    ]
-
-    METRICS = st.fixed_dictionaries(
-        {
-            "a": st.sampled_from((0.0, 1.0, 2.0, 3.0)),
-            "b": st.sampled_from((0.0, 1.0, 2.0, 3.0)),
-        }
-    )
-
     @classmethod
     def _random_points(cls, rng, count):
         structures = ("ladder", "cascade", "parallel")
@@ -481,13 +467,6 @@ class TestStrategyProperties:
                 "r": float(rng.random()),
             }
             for _ in range(count)
-        ]
-
-    @staticmethod
-    def _records(metric_dicts):
-        return [
-            EvaluationRecord(point=(("x", i),), fidelity=1, metrics=m)
-            for i, m in enumerate(metric_dicts)
         ]
 
     @given(
@@ -515,43 +494,6 @@ class TestStrategyProperties:
         shuffled = [candidates[i] for i in permutation]
         again = [frozen_point(shuffled[i]) for i in model.rank(shuffled)]
         assert baseline == again
-
-    @given(
-        pool=st.lists(METRICS, min_size=1, max_size=12),
-        wa=st.floats(0.0, 10.0),
-        wb=st.floats(0.0, 10.0),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_weighted_sum_selects_front_member(self, pool, wa, wb):
-        """Any non-negative weighting picks a Pareto-front member."""
-        records = self._records(pool)
-        front_points = {
-            r.point for r in pareto_front(records, self.OBJECTIVES)
-        }
-        choice = select_weighted_sum(records, self.OBJECTIVES, (wa, wb))
-        assert choice.point in front_points
-
-    @given(
-        pool=st.lists(METRICS, min_size=1, max_size=12),
-        a_first=st.booleans(),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_lexicographic_selects_front_member(self, pool, a_first):
-        """Any priority order picks a Pareto-front member, and the
-        winner is optimal on the leading objective over the front."""
-        records = self._records(pool)
-        front = pareto_front(records, self.OBJECTIVES)
-        front_points = {r.point for r in front}
-        priority = ("a", "b") if a_first else ("b", "a")
-        choice = select_lexicographic(
-            records, self.OBJECTIVES, priority=priority
-        )
-        assert choice.point in front_points
-        leading = next(
-            o for o in self.OBJECTIVES if o.metric == priority[0]
-        )
-        best = min(leading.score(r.metrics) for r in front)
-        assert leading.score(choice.metrics) == best
 
 
 class TestGridProperties:
@@ -612,7 +554,8 @@ class TestPowerProperties:
         """Dynamic energy never decreases when the feature size grows."""
         import dataclasses
 
-        from repro.hardware import MachineConfig, estimate_energy
+        from repro.hardware import MachineConfig
+        from repro.power import estimate_energy
         from repro.hardware.trace import viterbi_program
         from repro.viterbi.metacore import instance_params, normalize_viterbi_point
 
@@ -640,7 +583,8 @@ class TestPowerProperties:
     @settings(max_examples=40, deadline=None)
     def test_energy_monotone_in_datapath_width(self, k, w_lo, w_step):
         """Dynamic energy never decreases when the datapath widens."""
-        from repro.hardware import MachineConfig, estimate_energy
+        from repro.hardware import MachineConfig
+        from repro.power import estimate_energy
         from repro.hardware.trace import viterbi_program
         from repro.viterbi.metacore import instance_params, normalize_viterbi_point
 

@@ -390,6 +390,21 @@ class TestProtocolAndStatus:
                     client.eval({"x": 1.0}, session="nope")
                 assert info.value.code == "bad_request"
 
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            {"kind": "viterbi", "ber_curve": [[2.0]], "throughput_bps": 1e6},
+            {"kind": "iir", "filter": {"type": "lowpass"}},
+        ],
+        ids=["viterbi", "iir"],
+    )
+    def test_malformed_spec_is_bad_request(self, spec):
+        with started_handle() as handle:
+            with handle.client() as client:
+                with pytest.raises(ServeRequestError) as info:
+                    client.eval({"x": 1.0}, spec=spec)
+                assert info.value.code == "bad_request"
+
     def test_unknown_op_and_garbage_line(self):
         with started_handle() as handle:
             with socket.create_connection(handle.address, timeout=10) as s:
