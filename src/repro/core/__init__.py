@@ -5,7 +5,7 @@ freedom (:mod:`~repro.core.parameters`), objective functions and
 constraints (:mod:`~repro.core.objectives`), the cost-evaluation engine
 (:mod:`~repro.core.evaluation`), and the multiresolution design-space
 search (:mod:`~repro.core.search`) with its supporting grid machinery,
-interpolation, and Bayesian BER prediction.  :mod:`~repro.core.metacore`
+point coordinates, and Bayesian BER prediction.  :mod:`~repro.core.metacore`
 bundles the four into one definition per core and runs any of them
 through one facade.
 """
@@ -36,11 +36,7 @@ from repro.core.evaluation import (
 )
 from repro.core.parallel import ParallelEvaluator
 from repro.core.grid import GridSample, Region
-from repro.core.interpolate import (
-    MetricInterpolator,
-    idw_interpolate,
-    point_coordinates,
-)
+from repro.core.interpolate import point_coordinates
 from repro.core.bayes import (
     BayesianBERPredictor,
     Gaussian,
@@ -74,12 +70,6 @@ from repro.core.sensitivity import (
     format_sensitivity_table,
 )
 from repro.core.batch import SpecificationSweep, SweepRow
-from repro.core.report import (
-    format_pareto_report,
-    format_point,
-    format_search_report,
-    ranked_candidates,
-)
 
 __all__ = [
     "ContinuousParameter",
@@ -104,8 +94,6 @@ __all__ = [
     "evaluator_fingerprint",
     "GridSample",
     "Region",
-    "MetricInterpolator",
-    "idw_interpolate",
     "point_coordinates",
     "BayesianBERPredictor",
     "Gaussian",
@@ -134,8 +122,4 @@ __all__ = [
     "format_sensitivity_table",
     "SpecificationSweep",
     "SweepRow",
-    "format_pareto_report",
-    "format_point",
-    "format_search_report",
-    "ranked_candidates",
 ]

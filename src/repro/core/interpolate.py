@@ -1,17 +1,14 @@
-"""Interpolation of smooth metrics between grid points (paper Sec. 4.4).
+"""Normalized coordinates of design points (paper Sec. 4.4).
 
-"Since our area and throughput functions are smooth and continuous, we
-use interpolation between the points on the grid to calculate initial
-estimates."  Design points live in a mixed discrete/continuous space,
-so points are first mapped to normalized coordinates in the unit cube
-and smooth metrics are interpolated there with inverse-distance
-weighting (exact at the samples, bounded by the sample range — both
-properties the search relies on).
+Design points live in a mixed discrete/continuous space.  Models that
+reason about distances between points (the Bayesian BER predictor,
+the surrogate search strategy) first map each point to normalized
+coordinates in the unit cube.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import List
 
 import numpy as np
 
@@ -47,65 +44,3 @@ def point_coordinates(space: DesignSpace, point: Point) -> np.ndarray:
         else:  # pragma: no cover - union is exhaustive
             raise DesignSpaceError(f"unknown parameter type {parameter!r}")
     return np.asarray(coords, dtype=float)
-
-
-def idw_interpolate(
-    coordinates: np.ndarray,
-    values: Sequence[float],
-    query: np.ndarray,
-    power: float = 2.0,
-) -> float:
-    """Inverse-distance-weighted interpolation.
-
-    ``coordinates`` has shape ``(n, d)``; a query that coincides with a
-    sample returns that sample's value exactly, and every result lies
-    within [min(values), max(values)].
-    """
-    coordinates = np.asarray(coordinates, dtype=float)
-    values_arr = np.asarray(values, dtype=float)
-    if coordinates.ndim != 2 or len(values_arr) != coordinates.shape[0]:
-        raise DesignSpaceError("coordinates and values shapes disagree")
-    if coordinates.shape[0] == 0:
-        raise DesignSpaceError("need at least one sample to interpolate")
-    query = np.asarray(query, dtype=float)
-    distances = np.linalg.norm(coordinates - query[np.newaxis, :], axis=1)
-    exact = distances < 1e-12
-    if np.any(exact):
-        return float(values_arr[np.argmax(exact)])
-    weights = distances ** (-power)
-    return float(np.dot(weights, values_arr) / weights.sum())
-
-
-class MetricInterpolator:
-    """Accumulates (point, value) samples and interpolates new points.
-
-    The search feeds it every evaluated grid point of a smooth metric
-    (area, throughput) and asks for initial estimates at yet-unevaluated
-    points on finer grids.
-    """
-
-    def __init__(self, space: DesignSpace, power: float = 2.0) -> None:
-        self.space = space
-        self.power = power
-        self._coords: List[np.ndarray] = []
-        self._values: List[float] = []
-
-    def add(self, point: Point, value: float) -> None:
-        if not np.isfinite(value):
-            return  # infeasible samples carry no smooth information
-        self._coords.append(point_coordinates(self.space, point))
-        self._values.append(float(value))
-
-    @property
-    def n_samples(self) -> int:
-        return len(self._values)
-
-    def estimate(self, point: Point) -> float:
-        if not self._values:
-            raise DesignSpaceError("no samples added yet")
-        return idw_interpolate(
-            np.vstack(self._coords),
-            self._values,
-            point_coordinates(self.space, point),
-            self.power,
-        )

@@ -247,6 +247,8 @@ class ViterbiDecoder:
         or ``(frames, steps, n_symbols)`` for a batch; the result
         mirrors the leading shape with one bit per step.  ``sigma`` is
         the channel noise level, required by adaptive quantizers.
+        A batch of zero frames decodes to an empty ``(0, steps)`` int8
+        array; zero steps is a :class:`ConfigurationError`.
         """
         received = np.asarray(received, dtype=float)
         squeeze = received.ndim == 2
@@ -257,6 +259,11 @@ class ViterbiDecoder:
                 "received must have shape (frames, steps, "
                 f"{self.trellis.n_symbols})"
             )
+        n_frames, n_steps, _ = received.shape
+        if n_steps == 0:
+            raise ConfigurationError("received must hold at least one step")
+        if n_frames == 0:
+            return np.empty((0, n_steps), dtype=np.int8)
         hook = self.fault_hook
         if hook is not None:
             hook.begin_block(received)

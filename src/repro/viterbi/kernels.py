@@ -3,10 +3,11 @@
 The reference forward passes in :mod:`repro.viterbi.decoder` and
 :mod:`repro.viterbi.multires` are correct and hookable, but they pay a
 fixed Python/numpy-dispatch cost *per trellis step*: a branch-metric
-broadcast, an ``argmin`` plus ``take_along_axis`` pair, and a handful of
-temporaries, every step of every frame batch.  For the small arrays a
-Viterbi batch produces (``frames x states``), that dispatch overhead —
-not arithmetic — dominates cold evaluation time.
+broadcast, ``argmin`` plus ``take_along_axis``/``put_along_axis``
+pairs, and a handful of temporaries, every step of every frame batch.
+For the small arrays a Viterbi batch produces (``frames x states``),
+that dispatch overhead — not arithmetic — dominates cold evaluation
+time.
 
 This module removes it without changing a single output bit:
 
@@ -15,15 +16,26 @@ This module removes it without changing a single output bit:
   (:func:`symbol_indices`), and per-step metrics become a single
   ``np.take`` from the table built by
   :meth:`~repro.viterbi.metrics.BranchMetricTable.combo_lut` instead of
-  a broadcast + mask + reduce inside the loop.
+  a broadcast + mask + reduce inside the loop.  Symbols are stored one
+  contiguous ``(frames,)`` row per step.
+- **States-major layout.**  Everything in the step loop is
+  ``(states, frames)``: the tables are ``(2 * states, combos)`` with the
+  slot-0 branches in the first half, so the predecessor gather
+  ``acc[predw]`` is one row gather, and the multiresolution kernel adds
+  both resolutions' metrics to that same gather.
 - **Two-way compare-select.**  A radix-2 trellis has exactly two
   predecessors per state, so ``argmin`` + ``take_along_axis`` over an
   axis of length 2 collapses to one ``<`` and one ``minimum``.
   ``np.argmin`` returns the *first* minimal index, which is exactly
   ``c1 < c0`` — ties select slot 0 in both formulations, keeping the
   survivor memory bit-identical.
+- **Flat indices.**  The multiresolution kernel addresses its chosen
+  states by flat offsets ``state * n_frames + frame`` and moves values
+  with ``np.take``/``np.put``.  When every state is recomputed
+  (``M == n_states``, every multiresolution point the search decodes)
+  the selection is the identity and the kernel skips it altogether.
 - **Hoisted buffers.**  Candidate/metric scratch arrays are allocated
-  once and rotated, so the step loop performs no allocations beyond
+  once and rotated, so the step loop performs few allocations beyond
   numpy's internal reductions.
 
 The kernels are *drop-in equivalent*: for every input they produce the
@@ -34,7 +46,6 @@ keeps the reference loop so resilience semantics stay untouched — and
 only when the metric tables are small enough to precompute
 (``combo_lut()`` returns ``None`` otherwise).
 """
-
 from __future__ import annotations
 
 from typing import Optional, Tuple
@@ -71,6 +82,34 @@ def _state_dtype(n_states: int) -> type:
     return np.uint32
 
 
+def _step_symbols(
+    quantizer, received: np.ndarray, sigma: Optional[float]
+) -> np.ndarray:
+    """Quantize once and fold to lookup rows, one contiguous row per step.
+
+    Returns ``(steps, frames)``; the ``(frames, steps)`` fold is a
+    temporary, so only one symbol array outlives the call.
+    """
+    levels = quantizer.quantize(received, sigma)
+    return np.ascontiguousarray(symbol_indices(levels, quantizer.lut_base).T)
+
+
+def _double_width(lut: np.ndarray) -> np.ndarray:
+    """``(combos, states, 2)`` table as float64 ``(2 * states, combos)``.
+
+    Rows ``[0, S)`` hold the slot-0 branches and ``[S, 2S)`` the slot-1
+    branches, so one ``np.take`` along the combo axis yields a step's
+    metrics in the states-major layout of the kernels.  The metrics are
+    small integers, exactly representable, and float64 lets the step
+    loop add them to the accumulated metrics without a conversion pass.
+    """
+    n_combos, n_states, _ = lut.shape
+    return np.ascontiguousarray(
+        np.transpose(lut, (2, 1, 0)).reshape(2 * n_states, n_combos),
+        dtype=np.float64,
+    )
+
+
 def fused_forward(
     decoder, received: np.ndarray, sigma: Optional[float]
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -81,22 +120,9 @@ def fused_forward(
     availability of the combo lookup table.
     """
     n_frames, n_steps, _ = received.shape
-    levels = decoder.quantizer.quantize(received, sigma)
-    symbols = symbol_indices(levels, decoder.quantizer.lut_base)
-    lut = decoder.metric_table.combo_lut()
+    symbols = _step_symbols(decoder.quantizer, received, sigma)
+    lutw = _double_width(decoder.metric_table.combo_lut())
     n_states = decoder.trellis.n_states
-    # State-major double-width layout: everything in the loop is
-    # (2 * states, frames), with rows [0, S) the slot-0 branches and
-    # [S, 2S) the slot-1 branches.  That turns the per-step predecessor
-    # gather into a row gather (contiguous copies) instead of a column
-    # gather, and halves the gather count versus separate slot tables.
-    # Stored as float64 (metrics are small integers, exactly
-    # representable) so the accumulate below adds without a per-step
-    # int->float conversion pass.
-    lutw = np.ascontiguousarray(
-        np.transpose(lut, (2, 1, 0)).reshape(2 * n_states, lut.shape[0]),
-        dtype=np.float64,
-    )
     predw = np.ascontiguousarray(decoder.trellis.predecessors.T.reshape(-1))
 
     acc = np.ascontiguousarray(decoder._initial_metrics(n_frames).T)
@@ -128,7 +154,7 @@ def fused_forward(
     rowmin = np.empty((1, n_frames))
 
     for t in range(n_steps):
-        np.take(lutw, symbols[:, t], axis=1, out=metrics)
+        np.take(lutw, symbols[t], axis=1, out=metrics)
         np.take(acc, predw, axis=0, out=cand)
         cand += metrics
         # argmin over the 2-candidate axis == "is slot 1 strictly
@@ -140,7 +166,7 @@ def fused_forward(
         surv_t += pred0_row
         np.minimum(c0, c1, out=nacc)
         best[t] = nacc.argmin(axis=0)
-        np.min(nacc, axis=0, keepdims=True, out=rowmin)
+        np.minimum.reduce(nacc, axis=0, keepdims=True, out=rowmin)
         nacc -= rowmin
         acc, nacc = nacc, acc
     decoder._final_metrics = np.ascontiguousarray(acc.T)
@@ -159,109 +185,146 @@ def fused_forward_multires(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fused forward pass for :class:`MultiresolutionViterbiDecoder`.
 
-    Replicates the reference step ordering operation for operation —
-    low-resolution update, M-state selection via ``argpartition``,
-    high-resolution recomputation with the correction term, merge —
-    with the branch-metric computations replaced by table gathers and
-    the two radix-2 selects replaced by compare-select.  The
+    Runs in the ``(states, frames)`` layout of :func:`fused_forward`.
+    Each step gathers ``acc[predw]`` once and adds both resolutions'
+    table rows to it; per-step symbols are contiguous rows; the
+    ``scale-offset`` rescaling is applied to the high-resolution table
+    once, not per step.  Chosen states are addressed by flat word
+    offsets (``state * n_frames + frame``) for ``np.take``/``np.put``.
+
+    Two branches, picked from the input:
+
+    - ``M == n_states`` (the design space clamps M to the trellis, so
+      every multiresolution point of a ``max_resolution=0`` Table 3
+      search is K=3 with M=4): the selection is the identity, so there
+      is nothing to select, no low-resolution decision to keep and
+      nothing to merge.  The low tables only rank the states
+      (``np.argsort``) and feed the correction; the decisions are the
+      high-resolution ones.
+    - ``M < n_states``: the low-resolution update of the full trellis,
+      ``np.argpartition`` for the M-set and ``np.argsort`` for the N
+      best, both with their default kinds on the states axis, then the
+      high-resolution recomputation of the chosen states is merged back.
+
+    Either way the step is the reference's operation for operation, so
+    ties fall the same way: ``c1 < c0`` is ``argmin``'s slot-0 rule,
+    numpy's selection routines see the same values in the same order
+    per frame, and the correction averages a contiguous ``(frames, N)``
+    block as the reference does (numpy sums 8 or more terms pairwise,
+    so a reduction over the other axis would round differently).  The
     low-resolution table masks erasures (as
     :meth:`~repro.viterbi.metrics.BranchMetricTable.compute` does); the
     high-resolution table does *not* (as ``compute_for_states`` does
     not), preserving the reference asymmetry on punctured streams.
     """
     n_frames, n_steps, _ = received.shape
-    low_levels = decoder.low_quantizer.quantize(received, sigma)
-    high_levels = decoder.high_quantizer.quantize(received, sigma)
-    low_symbols = symbol_indices(low_levels, decoder.low_quantizer.lut_base)
-    high_symbols = symbol_indices(high_levels, decoder.high_quantizer.lut_base)
-    low_lut = decoder.metric_table.combo_lut()
-    high_lut = decoder.high_metric_table.combo_lut(erasure_masked=False)
-    predecessors = decoder.trellis.predecessors
     n_states = decoder.trellis.n_states
-    # Double-width layout (see fused_forward): slot-0 branches in the
-    # first n_states columns, slot-1 in the rest.  Both tables are
-    # stored as float64 — the values are small integers, so every
-    # downstream comparison, scaling, and mean is value-identical to
-    # the reference's int64 arithmetic while skipping the conversion
-    # passes inside the loop.
-    lutw = np.ascontiguousarray(
-        np.transpose(low_lut, (0, 2, 1)).reshape(low_lut.shape[0], 2 * n_states),
-        dtype=np.float64,
-    )
-    high_lut = high_lut.astype(np.float64)
-    predw = np.ascontiguousarray(predecessors.T.reshape(-1))
     m = decoder.multires_paths
-    scale_offset = decoder.normalization_method == "scale-offset"
+    n = decoder.normalization_count
     corrected = decoder.normalization_method != "none"
+    high_symbols = _step_symbols(decoder.high_quantizer, received, sigma)
+    highw = _double_width(
+        decoder.high_metric_table.combo_lut(erasure_masked=False)
+    )
+    if decoder.normalization_method == "scale-offset":
+        highw *= decoder._scale
+    if corrected or m < n_states:
+        low_symbols = _step_symbols(decoder.low_quantizer, received, sigma)
+        lutw = _double_width(decoder.metric_table.combo_lut())
+    predw = np.ascontiguousarray(decoder.trellis.predecessors.T.reshape(-1))
 
-    acc = decoder._initial_metrics(n_frames)
-    decisions = np.empty((n_steps, n_frames, n_states), dtype=np.uint8)
+    acc = np.ascontiguousarray(decoder._initial_metrics(n_frames).T)
+    nacc = np.empty_like(acc)
+    decisions = np.empty((n_steps, n_states, n_frames), dtype=np.uint8)
     best = np.empty((n_steps, n_frames), dtype=np.int64)
-    frame_col = np.arange(n_frames)[:, np.newaxis]
+    rowmin = np.empty((1, n_frames))
+    # Work buffers, allocated once: acc[predw], both resolutions' metrics,
+    # and the candidates, all (2 * states, frames).
+    gathered = np.empty((2 * n_states, n_frames))
+    low = np.empty_like(gathered)
+    high = np.empty_like(gathered)
+    cand = np.empty_like(gathered)
+    c0 = cand[:n_states]
+    c1 = cand[n_states:]
+    delta = np.empty_like(acc)
+    low_best = np.empty_like(acc)
+    frame_row = np.arange(n_frames)
+    frame_col = frame_row[:, np.newaxis]
+    # Rankings are taken frames-major, (frames, M), so numpy's argsort
+    # walks contiguous rows, and the flat offsets of the N best states'
+    # terms come out (frames, N): the mean then reduces contiguous rows.
+    sel = np.empty((n_frames, n), dtype=np.intp)
+    sel_pos = np.empty_like(sel)
+
+    def correction(ranked, positions=None):
+        """Per-frame mean of (high - low) best metrics over the N best."""
+        np.minimum(high[:n_states], high[n_states:], out=delta)
+        np.minimum(low[:n_states], low[n_states:], out=low_best)
+        np.subtract(delta, low_best, out=delta)
+        np.multiply(ranked[:, :n], n_frames, out=sel)
+        np.add(sel, frame_col, out=sel)
+        if positions is not None:
+            np.take(positions, sel, out=sel_pos)
+            return np.take(delta, sel_pos).mean(axis=1)
+        return np.take(delta, sel).mean(axis=1)
+
     if m == n_states:
-        # Every state is recomputed: the selection is a constant.
-        all_states = np.broadcast_to(
-            np.arange(n_states), (n_frames, n_states)
-        ).copy()
+        low_acc = np.empty((n_frames, n_states))
+        for t in range(n_steps):
+            np.take(acc, predw, axis=0, out=gathered)
+            np.take(highw, high_symbols[t], axis=1, out=high)
+            if corrected:
+                np.take(lutw, low_symbols[t], axis=1, out=low)
+                np.add(gathered, low, out=cand)
+                np.minimum(c0, c1, out=low_acc.T)
+                high -= correction(np.argsort(low_acc, axis=1))
+            np.add(gathered, high, out=cand)
+            np.less(c1, c0, out=decisions[t])
+            np.minimum(c0, c1, out=nacc)
+            best[t] = nacc.argmin(axis=0)
+            np.minimum.reduce(nacc, axis=0, keepdims=True, out=rowmin)
+            nacc -= rowmin
+            acc, nacc = nacc, acc
+    else:
+        pos = np.empty((m, n_frames), dtype=np.intp)
+        gathered0 = gathered[:n_states].reshape(-1)
+        gathered1 = gathered[n_states:].reshape(-1)
+        high0 = high[:n_states].reshape(-1)
+        high1 = high[n_states:].reshape(-1)
+        for t in range(n_steps):
+            np.take(acc, predw, axis=0, out=gathered)
+            np.take(lutw, low_symbols[t], axis=1, out=low)
+            np.take(highw, high_symbols[t], axis=1, out=high)
+            np.add(gathered, low, out=cand)
+            take1 = decisions[t]
+            np.less(c1, c0, out=take1)
+            np.minimum(c0, c1, out=nacc)
 
-    cand = np.empty((n_frames, 2 * n_states))
-    c0 = cand[:, :n_states]
-    c1 = cand[:, n_states:]
-    metrics = np.empty((n_frames, 2 * n_states), dtype=lutw.dtype)
-    m0 = metrics[:, :n_states]
-    m1 = metrics[:, n_states:]
-    new_acc = np.empty_like(acc)
-    take1 = np.empty((n_frames, n_states), dtype=bool)
-    rowmin = np.empty((n_frames, 1))
+            # --- select the M most promising states -------------------
+            chosen = np.argpartition(nacc, m - 1, axis=0)[:m]
+            np.multiply(chosen, n_frames, out=pos)
+            pos += frame_row
 
-    for t in range(n_steps):
-        # --- low-resolution update of the full trellis ----------------
-        np.take(lutw, low_symbols[:, t], axis=0, out=metrics)
-        np.take(acc, predw, axis=1, out=cand)
-        cand += metrics
-        np.less(c1, c0, out=take1)
-        np.minimum(c0, c1, out=new_acc)
+            # --- high-resolution recomputation of the chosen states ---
+            h0 = np.take(high0, pos)
+            h1 = np.take(high1, pos)
+            if corrected:
+                order = np.argsort(np.take(nacc, pos.T), axis=1)
+                corr = correction(order, pos)
+                h0 -= corr
+                h1 -= corr
+            h0 += np.take(gathered0, pos)
+            h1 += np.take(gathered1, pos)
 
-        # --- select the M most promising states -----------------------
-        if m < n_states:
-            chosen = np.argpartition(new_acc, m - 1, axis=1)[:, :m]
-        else:
-            chosen = all_states
-        chosen_acc = np.take_along_axis(new_acc, chosen, axis=1)
-        order = np.argsort(chosen_acc, axis=1)
-
-        # --- high-resolution recomputation ----------------------------
-        high_metrics = high_lut[high_symbols[:, t, np.newaxis], chosen]
-        if scale_offset:
-            high_metrics = high_metrics * decoder._scale
-        if corrected:
-            low_chosen0 = np.take_along_axis(m0, chosen, axis=1)
-            low_chosen1 = np.take_along_axis(m1, chosen, axis=1)
-            correction = decoder._correction(
-                np.minimum(low_chosen0, low_chosen1),
-                high_metrics.min(axis=2),
-                order,
-            )
-            high_metrics = high_metrics - correction[:, :, np.newaxis]
-
-        prev_chosen = predecessors[chosen]  # (frames, m, 2)
-        cand_high = acc[frame_col, prev_chosen.reshape(n_frames, -1)]
-        cand_high = cand_high.reshape(n_frames, m, 2) + high_metrics
-        slot_high = cand_high[:, :, 1] < cand_high[:, :, 0]
-        val_high = np.minimum(cand_high[:, :, 0], cand_high[:, :, 1])
-
-        # --- merge recomputed states back -----------------------------
-        np.put_along_axis(new_acc, chosen, val_high, axis=1)
-        decisions[t] = take1
-        np.put_along_axis(
-            decisions[t], chosen, slot_high.astype(np.uint8), axis=1
-        )
-        best[t] = new_acc.argmin(axis=1)
-        np.min(new_acc, axis=1, keepdims=True, out=rowmin)
-        new_acc -= rowmin
-        acc, new_acc = new_acc, acc
-    decoder._final_metrics = acc
-    return decisions, best
+            # --- merge recomputed states back -------------------------
+            np.put(take1, pos, h1 < h0)
+            np.put(nacc, pos, np.minimum(h0, h1))
+            best[t] = nacc.argmin(axis=0)
+            np.minimum.reduce(nacc, axis=0, keepdims=True, out=rowmin)
+            nacc -= rowmin
+            acc, nacc = nacc, acc
+    decoder._final_metrics = np.ascontiguousarray(acc.T)
+    return decisions.transpose(0, 2, 1), best
 
 
 def fused_traceback(

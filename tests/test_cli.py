@@ -104,6 +104,32 @@ class TestCommands:
         assert args4.trace is None
 
 
+class TestKernelAB:
+    """``--kernel fused`` and ``--kernel reference`` print the same curve."""
+
+    @pytest.mark.parametrize(
+        "point",
+        [
+            ["--k", "5", "--q", "adaptive", "--r1", "2", "--snr", "2.0"],
+            [
+                "--k", "5", "--q", "adaptive", "--r1", "2", "--m", "4",
+                "--r2", "3", "--snr", "1.0", "2.0",
+            ],
+        ],
+        ids=["classic", "multires"],
+    )
+    def test_viterbi_ber_identical_across_kernels(self, point, capsys):
+        outputs = []
+        for kernel in ("fused", "reference"):
+            code = main(
+                ["viterbi-ber", *point, "--bits", "20000", "--kernel", kernel]
+            )
+            assert code == 0
+            outputs.append(capsys.readouterr().out)
+        assert "BER=" in outputs[0]
+        assert outputs[0] == outputs[1]
+
+
 class TestTracing:
     def test_trace_flag_then_report(self, capsys, tmp_path):
         trace_file = tmp_path / "run.jsonl"

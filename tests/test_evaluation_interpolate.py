@@ -1,12 +1,8 @@
-"""Tests for the evaluation engine, interpolation, and Pareto tools."""
+"""Tests for the evaluation engine, point coordinates, and Pareto tools."""
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
-import pytest
-from hypothesis import given, settings, strategies as st
 
 from repro.core import (
     CachingEvaluator,
@@ -15,14 +11,11 @@ from repro.core import (
     EvaluationLog,
     EvaluationRecord,
     FunctionEvaluator,
-    MetricInterpolator,
     Objective,
     dominates,
-    idw_interpolate,
     pareto_front,
     point_coordinates,
 )
-from repro.errors import DesignSpaceError
 
 
 class TestCachingEvaluator:
@@ -84,55 +77,12 @@ class TestEvaluationRecord:
 
 
 class TestInterpolation:
-    def test_exact_at_samples(self):
-        coords = np.array([[0.0, 0.0], [1.0, 1.0]])
-        assert idw_interpolate(coords, [5.0, 9.0], np.array([1.0, 1.0])) == 9.0
-
-    def test_bounded_by_samples(self):
-        coords = np.array([[0.0], [1.0]])
-        value = idw_interpolate(coords, [2.0, 10.0], np.array([0.3]))
-        assert 2.0 <= value <= 10.0
-
-    def test_rejects_empty(self):
-        with pytest.raises(DesignSpaceError):
-            idw_interpolate(np.zeros((0, 2)), [], np.array([0.0, 0.0]))
-
-    @given(
-        st.lists(
-            st.tuples(st.floats(0, 1), st.floats(0, 100)),
-            min_size=1,
-            max_size=10,
-        ),
-        st.floats(0, 1),
-    )
-    @settings(max_examples=40, deadline=None)
-    def test_idw_always_within_range(self, samples, query):
-        coords = np.array([[s[0]] for s in samples])
-        values = [s[1] for s in samples]
-        result = idw_interpolate(coords, values, np.array([query]))
-        assert min(values) - 1e-9 <= result <= max(values) + 1e-9
-
     def test_point_coordinates_normalized(self):
         space = DesignSpace(
             [DiscreteParameter("a", (10, 20, 30)), DiscreteParameter("b", (1,))]
         )
         coords = point_coordinates(space, {"a": 30, "b": 1})
         assert coords.tolist() == [1.0, 0.0]
-
-    def test_metric_interpolator(self):
-        space = DesignSpace([DiscreteParameter("a", (1, 2, 3))])
-        interp = MetricInterpolator(space)
-        interp.add({"a": 1}, 10.0)
-        interp.add({"a": 3}, 30.0)
-        assert interp.n_samples == 2
-        middle = interp.estimate({"a": 2})
-        assert 10.0 < middle < 30.0
-
-    def test_metric_interpolator_skips_inf(self):
-        space = DesignSpace([DiscreteParameter("a", (1, 2))])
-        interp = MetricInterpolator(space)
-        interp.add({"a": 1}, math.inf)
-        assert interp.n_samples == 0
 
 
 class TestPareto:

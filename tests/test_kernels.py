@@ -244,6 +244,87 @@ class TestFusedMultiresolution:
         _assert_identical_decode(fused, reference, received, sigma=0.7)
 
 
+#: Deterministic multiresolution cases: (K, M, N, normalization, frames,
+#: steps, low-resolution bits, erasure rate).  The K=3, M=4 rows are the
+#: shapes the search decodes (the selection is every state); a 1-bit
+#: low quantizer makes many accumulated metrics tie.  N >= 8 rows matter
+#: because numpy sums 8 or more terms pairwise, so only they catch a
+#: correction mean reduced over a different axis than the reference's.
+MULTIRES_CASES = [
+    (3, 4, 1, "scale-offset", 32, 96, 1, 0.0),
+    (3, 4, 1, "scale-offset", 256, 48, 1, 0.0),
+    (3, 4, 2, "offset", 256, 48, 1, 0.1),
+    (5, 8, 1, "offset", 24, 80, 1, 0.0),
+    (5, 8, 3, "none", 24, 80, 2, 0.1),
+    (7, 16, 4, "scale-offset", 12, 64, 2, 0.0),
+    (5, 16, 9, "scale-offset", 16, 64, 1, 0.0),
+    (5, 16, 16, "scale-offset", 16, 64, 1, 0.1),
+    (7, 16, 9, "scale-offset", 12, 64, 1, 0.0),
+    (7, 64, 16, "scale-offset", 12, 64, 1, 0.0),
+]
+
+
+class TestFusedMultiresolutionShapes:
+    @pytest.mark.parametrize(
+        "k, m, n, method, n_frames, n_steps, low_bits, erasures",
+        MULTIRES_CASES,
+        ids=[
+            f"K{c[0]}-M{c[1]}-N{c[2]}-{c[3]}-F{c[4]}" for c in MULTIRES_CASES
+        ],
+    )
+    def test_bit_identical(
+        self, k, m, n, method, n_frames, n_steps, low_bits, erasures
+    ):
+        trellis = Trellis.from_encoder(ConvolutionalEncoder(k))
+        fused, reference = _pair(
+            MultiresolutionViterbiDecoder,
+            trellis,
+            AdaptiveQuantizer(low_bits),
+            AdaptiveQuantizer(3),
+            5 * k,
+            m,
+            normalization_count=n,
+            normalization_method=method,
+        )
+        assert fused.active_kernel() == "fused"
+        rng = np.random.default_rng(1000 * k + 10 * m + n)
+        received = _received(
+            rng, n_frames, n_steps, trellis.n_symbols, erasures
+        )
+        dec_f, best_f = fused._forward(received, 0.8)
+        dec_r, best_r = reference._forward(received, 0.8)
+        assert np.array_equal(dec_f, dec_r)
+        assert np.array_equal(best_f, best_r)
+        assert np.array_equal(fused._final_metrics, reference._final_metrics)
+        _assert_identical_decode(fused, reference, received, sigma=0.8)
+
+
+class TestEmptyBatches:
+    @pytest.fixture(params=["classic", "multires"])
+    def decoder_cls_args(self, request, trellis_k3):
+        if request.param == "classic":
+            return ViterbiDecoder, (trellis_k3, HardQuantizer(), 9)
+        return MultiresolutionViterbiDecoder, (
+            trellis_k3, HardQuantizer(), AdaptiveQuantizer(3), 9, 4
+        )
+
+    @pytest.mark.parametrize("kernel", DECODE_KERNELS)
+    def test_zero_frames_decode_to_empty(self, decoder_cls_args, kernel):
+        decoder_cls, args = decoder_cls_args
+        decoder = decoder_cls(*args, kernel=kernel)
+        bits = decoder.decode(np.zeros((0, 12, 2)), sigma=0.5)
+        assert bits.shape == (0, 12)
+        assert bits.dtype == np.int8
+
+    @pytest.mark.parametrize("kernel", DECODE_KERNELS)
+    @pytest.mark.parametrize("shape", [(3, 0, 2), (0, 2)])
+    def test_zero_steps_rejected(self, decoder_cls_args, kernel, shape):
+        decoder_cls, args = decoder_cls_args
+        decoder = decoder_cls(*args, kernel=kernel)
+        with pytest.raises(ConfigurationError):
+            decoder.decode(np.zeros(shape), sigma=0.5)
+
+
 class TestKernelDispatch:
     def test_rejects_unknown_kernel(self, trellis_k3):
         with pytest.raises(ConfigurationError):

@@ -1,4 +1,4 @@
-"""Tests for section scaling, tail-biting coding, and search reports."""
+"""Tests for section scaling and tail-biting coding."""
 
 from __future__ import annotations
 
@@ -7,21 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from repro.core import (
-    DesignGoal,
-    DesignSpace,
-    DiscreteParameter,
-    FunctionEvaluator,
-    MetacoreSearch,
-    Objective,
-    SearchConfig,
-)
-from repro.core.report import (
-    format_pareto_report,
-    format_point,
-    format_search_report,
-    ranked_candidates,
-)
 from repro.errors import ConfigurationError, FilterDesignError
 from repro.iir.design import LowpassSpec, design_filter
 from repro.iir.scaling import linf_norm, scale_cascade
@@ -143,46 +128,3 @@ class TestTailbiting:
         )
         with pytest.raises(ConfigurationError):
             decode_tailbiting(decoder, np.zeros((8, 2)), wraps=1)
-
-
-class TestReports:
-    def _result(self):
-        space = DesignSpace(
-            [DiscreteParameter("x", tuple(range(10)))]
-        )
-
-        def func(point, fidelity):
-            return {"cost": (point["x"] - 6) ** 2, "aux": float(point["x"])}
-
-        goal = DesignGoal(objectives=[Objective("cost")])
-        search = MetacoreSearch(
-            space, goal, FunctionEvaluator(func, 1),
-            SearchConfig(max_resolution=3),
-        )
-        return search.run(), goal
-
-    def test_format_point(self):
-        assert format_point({"b": 2, "a": 0.25}) == "a=0.25, b=2"
-
-    def test_ranked_candidates_order(self):
-        result, goal = self._result()
-        ranked = ranked_candidates(result, goal, top=5)
-        costs = [r.metrics["cost"] for r in ranked]
-        assert costs == sorted(costs)
-        assert costs[0] == 0
-
-    def test_search_report_contents(self):
-        result, goal = self._result()
-        text = format_search_report(result, goal, top=3)
-        assert "winner:" in text
-        assert "x=6" in text
-        assert "top 3 candidates" in text
-        assert "feasible: True" in text
-
-    def test_pareto_report(self):
-        result, goal = self._result()
-        text = format_pareto_report(
-            result, [Objective("cost"), Objective("aux")]
-        )
-        assert "Pareto front" in text
-        assert "cost=0" in text
