@@ -12,14 +12,13 @@ Measures what the fingerprint-sharded router actually buys:
   vs on (`hedge_after_s=0.1`).  Hedging should cut the p99 paid by
   sessions the ring happens to home on the slow node.
 
-The evaluator is *simulated*, following ``bench_serve.py``: metrics
-are deterministic hash-derived pseudo-values (so any routing mistake
-would surface as a wrong byte), and cost is a ``time.sleep`` of
-``BATCH_SETUP + PER_POINT * n`` per batch.  Each node's capacity is
-its service's ``eval_threads`` pool (2 here) — the per-node bound that
-makes "more nodes" mean "more capacity" — which a sleep bill renders
-faithfully on the single-CPU CI boxes where CPU-bound work could
-never show overlap.  Everything else — sockets, the router, the ring,
+The evaluator is *simulated*: metrics are deterministic hash-derived
+pseudo-values (so any routing mistake would surface as a wrong byte),
+and cost is a ``time.sleep`` of ``BATCH_SETUP + PER_POINT * n`` per
+batch.  Each node's capacity is its service's ``eval_threads`` pool (2
+here) — the per-node bound that makes "more nodes" mean "more
+capacity" — which a sleep bill renders faithfully on the single-CPU CI
+boxes where CPU-bound work could never show overlap.  Everything else — sockets, the router, the ring,
 hedging, micro-batching — is exactly the production path.
 
 Results land in ``BENCH_cluster.json`` at the repo root.  Run with::

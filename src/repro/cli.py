@@ -653,7 +653,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     config = ServiceConfig(
         max_batch=args.max_batch,
-        linger_s=args.linger_ms / 1000.0,
         max_pending=args.max_pending,
         request_timeout_s=args.timeout_s,
         workers=args.workers,
@@ -1140,10 +1139,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="largest micro-batch fed to the evaluator at once",
     )
     serve.add_argument(
-        "--linger-ms", type=float, default=2.0,
-        help="how long a batch waits for co-travellers before running",
-    )
-    serve.add_argument(
         "--max-pending", type=int, default=256,
         help="admission-control window; excess requests are rejected "
         "with an `overloaded` error",
@@ -1188,7 +1183,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     cluster.add_argument(
         "--hedge-ms", type=float, default=500.0,
-        help="duplicate a straggling request to the next replica "
+        help="duplicate a straggling eval to the next replica "
         "after this long (0 disables hedging)",
     )
     cluster.add_argument(

@@ -19,12 +19,16 @@ Reliability mechanics on the request path:
   capped exponential backoff between attempts, up to
   ``max_attempts`` tries.  Any other error is the request's own
   answer (e.g. ``bad_request``) and is forwarded verbatim.
-- **Hedging** — if the first replica has not answered within
-  ``hedge_after_s``, the request is duplicated to the next replica on
-  the preference list; the first usable answer wins and the loser is
-  cancelled (its late response is discarded by the connection layer).
-  All routed operations are deterministic, so a duplicate execution
-  cannot change any result — only the tail latency.
+- **Hedging** — if the first replica has not answered an ``eval``
+  within ``hedge_after_s``, the request is duplicated to the next
+  replica on the preference list; the first usable answer wins and the
+  loser is cancelled (its late response is discarded by the connection
+  layer).  Every routed operation is deterministic, so a duplicate
+  cannot change any result — only the tail latency.  A ``search`` is
+  not hedged (:data:`HEDGED_OPS`): it is long CPU work that the losing
+  replica keeps running after the router cancels its copy, so a hedge
+  only steals CPU; nor is a ``recommend``, which can fall back to such
+  a search on an atlas miss.
 - **Health** — a :class:`~repro.cluster.health.HealthMonitor` probes
   every replica's ``status``; ejected replicas are skipped by routing
   until a probe readmits them.  The hash ring itself never changes,
@@ -69,6 +73,9 @@ FAILOVER_CODES = frozenset({"overloaded", "draining", "closed"})
 #: Operations that are routed by key (everything else the router
 #: answers itself or fans out).
 ROUTED_OPS = frozenset({"eval", "search", "recommend"})
+
+#: Routed operations a straggling primary is hedged for.
+HEDGED_OPS = frozenset({"eval"})
 
 
 class RouterConfig:
@@ -291,7 +298,8 @@ class ClusterRouter:
         primary: RouterReplica,
         backup: Optional[RouterReplica],
     ) -> Tuple[Optional[Dict[str, Any]], RouterReplica]:
-        """One routing attempt: primary, hedged with backup if slow.
+        """One routing attempt: primary, hedged with backup if a
+        :data:`HEDGED_OPS` request is slow.
 
         Returns ``(response_envelope, answering_replica)``; the
         envelope is ``None`` when every contacted replica failed at the
@@ -304,7 +312,9 @@ class ClusterRouter:
         )
         tasks[primary_task] = primary
         hedge_deadline = (
-            self.config.hedge_after_s if backup is not None else None
+            self.config.hedge_after_s
+            if backup is not None and op in HEDGED_OPS
+            else None
         )
         outcome: Optional[Dict[str, Any]] = None
         winner = primary

@@ -8,8 +8,8 @@ backpressure — the workload shape of design-space exploration at scale
 
 - :mod:`repro.serve.protocol` — newline-delimited JSON wire format and
   spec payload (de)serialization;
-- :mod:`repro.serve.batching` — dynamic micro-batcher (linger window,
-  bounded batch size, per-key sequencing);
+- :mod:`repro.serve.batching` — dynamic micro-batcher (bounded batch
+  size, per-key sequencing, no timer);
 - :mod:`repro.serve.service` — the asyncio service core: sessions,
   admission control, timeouts, search execution, status;
 - :mod:`repro.serve.server` — socket front-end plus the background-

@@ -5,12 +5,11 @@ evaluation layer is batch-first (``evaluate_many`` fans a batch out
 over the process pool), so the service coalesces *compatible* requests
 — same evaluator fingerprint, same fidelity — into micro-batches:
 
-- the first request of a batch opens a *linger window*
-  (``linger_s``); requests arriving inside the window join the batch;
-- the batch closes when it reaches ``max_batch`` entries or the window
-  expires, whichever is first;
-- batches of the same key run one at a time (so requests queued behind
-  a running batch accumulate into the next, larger batch — classic
+- a batch is the first waiting request plus whatever else is already
+  queued under its key, up to ``max_batch`` entries; no timer holds a
+  request back waiting for company;
+- batches of the same key run one at a time, so requests that arrive
+  while a batch runs pile up and merge into the next one (classic
   dynamic batching), while batches of different keys run concurrently.
 
 Determinism is unaffected: every evaluator derives its stochastic
@@ -23,7 +22,7 @@ from __future__ import annotations
 import asyncio
 import time
 from dataclasses import dataclass, field
-from typing import Any, Awaitable, Callable, Dict, Hashable, List, Optional
+from typing import Any, Awaitable, Callable, Dict, Hashable, List
 
 
 @dataclass
@@ -43,32 +42,21 @@ BatchRunner = Callable[[Hashable, List[PendingRequest]], Awaitable[None]]
 
 
 class MicroBatcher:
-    """Group compatible requests into bounded, lingering micro-batches.
+    """Group compatible requests into bounded micro-batches.
 
     One collector task per batch key, started lazily on the key's first
     request and kept until :meth:`close`.  The collector is the only
     consumer of its key's queue, so batch assembly needs no locking.
     """
 
-    def __init__(
-        self,
-        run_batch: BatchRunner,
-        max_batch: int = 8,
-        linger_s: float = 0.002,
-    ) -> None:
+    def __init__(self, run_batch: BatchRunner, max_batch: int = 8) -> None:
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
         self.run_batch = run_batch
         self.max_batch = int(max_batch)
-        self.linger_s = max(0.0, float(linger_s))
         self._queues: Dict[Hashable, "asyncio.Queue[PendingRequest]"] = {}
         self._collectors: Dict[Hashable, "asyncio.Task[None]"] = {}
         self._closed = False
-
-    @property
-    def n_queued(self) -> int:
-        """Requests accepted but not yet handed to a batch run."""
-        return sum(queue.qsize() for queue in self._queues.values())
 
     def submit(self, key: Hashable, request: PendingRequest) -> None:
         """Enqueue one request under its compatibility key."""
@@ -91,25 +79,8 @@ class MicroBatcher:
             batch: List[PendingRequest] = []
             try:
                 batch.append(await queue.get())
-                deadline = time.monotonic() + self.linger_s
-                while len(batch) < self.max_batch:
-                    remaining = deadline - time.monotonic()
-                    if remaining <= 0:
-                        # Window expired: still take whatever is
-                        # already queued (no reason to leave ready
-                        # work behind).
-                        while (
-                            len(batch) < self.max_batch
-                            and not queue.empty()
-                        ):
-                            batch.append(queue.get_nowait())
-                        break
-                    try:
-                        batch.append(
-                            await asyncio.wait_for(queue.get(), remaining)
-                        )
-                    except asyncio.TimeoutError:
-                        continue  # re-check the queue, then close
+                while len(batch) < self.max_batch and not queue.empty():
+                    batch.append(queue.get_nowait())
                 # Sequential per key: requests arriving while this
                 # batch evaluates pile up for the next (larger) one.
                 await self.run_batch(key, batch)

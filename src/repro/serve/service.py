@@ -6,10 +6,11 @@ many such queries concurrently against a shared simulator.  This module
 serves that shape as a long-running process:
 
 - concurrent ``eval``/``search`` requests from any number of clients;
-- compatible point requests coalesce into dynamic micro-batches
+- compatible client point requests coalesce into dynamic micro-batches
   (:mod:`repro.serve.batching`) fed to the batch-first evaluation layer,
   where a :class:`~repro.core.parallel.ParallelEvaluator` fans them out
-  over worker processes;
+  over worker processes; a search prices its own points on its search
+  thread, through the same session cache but outside the batches;
 - one lock-guarded :class:`~repro.core.evaluation.CachingEvaluator` per
   specification, all sharing one
   :class:`~repro.core.evalcache.PersistentEvalCache`, so every client
@@ -118,8 +119,6 @@ class ServiceConfig:
 
     #: Largest micro-batch handed to ``evaluate_many`` in one call.
     max_batch: int = 8
-    #: How long the first request of a batch waits for company (s).
-    linger_s: float = 0.002
     #: Admission window: concurrent in-flight point requests beyond
     #: this are rejected immediately with ``overloaded``.
     max_pending: int = 256
@@ -220,14 +219,16 @@ class EvaluatorSession:
 
 
 class _ServeEvaluatorProxy:
-    """Evaluator facade routing a search's batches through the service.
+    """Evaluator facade pricing a search's points on its own thread.
 
-    A search runs in a worker thread; its grid rounds re-enter the
-    service's micro-batcher, so search traffic and client ``eval``
-    traffic for the same specification coalesce into shared batches and
-    shared cache state.  Search-internal requests bypass admission
-    control (the search itself was admitted) and carry no per-point
-    timeout.
+    A search runs on a search-executor thread and calls the session's
+    lock-guarded cache directly: it shares cached results with client
+    ``eval`` traffic for the same specification, but not its
+    micro-batches, so a search point never waits on the event loop or
+    the batcher.  The search was admitted as a whole, so its points
+    bypass admission control and carry no per-point timeout; once the
+    service stops, the next batch raises :class:`ServiceClosedError`
+    (a draining service still finishes its searches).
     """
 
     def __init__(
@@ -248,22 +249,9 @@ class _ServeEvaluatorProxy:
     def evaluate_many(
         self, points: Sequence[Point], fidelity: int
     ) -> List[Metrics]:
-        loop = self._service.loop
-        assert loop is not None, "service not started"
-        futures = [
-            asyncio.run_coroutine_threadsafe(
-                self._service.submit_point(
-                    self._session,
-                    dict(point),
-                    fidelity,
-                    timeout_s=None,
-                    admit=False,
-                ),
-                loop,
-            )
-            for point in points
-        ]
-        return [future.result() for future in futures]
+        if not self._service._running:
+            raise ServiceClosedError("service is not running")
+        return self._session.evaluator.evaluate_many(points, fidelity)
 
 
 class EvaluationService:
@@ -292,9 +280,7 @@ class EvaluationService:
         self._sessions: Dict[str, EvaluatorSession] = {}
         self._sessions_lock = threading.Lock()
         self._batcher = MicroBatcher(
-            self._run_batch,
-            max_batch=self.config.max_batch,
-            linger_s=self.config.linger_s,
+            self._run_batch, max_batch=self.config.max_batch
         )
         self._eval_executor: Optional[ThreadPoolExecutor] = None
         self._search_executor: Optional[ThreadPoolExecutor] = None
@@ -359,11 +345,11 @@ class EvaluationService:
     async def stop(self) -> None:
         """Fail queued work, finish in-flight work, release resources.
 
-        New submissions raise :class:`ServiceClosedError` immediately —
-        this is what unblocks an in-flight search, whose next grid
-        batch fails fast — while already-running batches complete.  The
-        executor joins run on the loop's default executor so the loop
-        keeps serving those fail-fast submissions meanwhile.
+        New submissions raise :class:`ServiceClosedError` immediately,
+        and so does an in-flight search's next grid batch, while
+        already-running batches complete.  The executor joins run on
+        the loop's default executor so the loop keeps answering
+        meanwhile.
         """
         self._running = False
         await self._batcher.close()
@@ -463,7 +449,6 @@ class EvaluationService:
         point: Point,
         fidelity: int,
         timeout_s: Any = _UNSET,
-        admit: bool = True,
     ) -> Metrics:
         """Admit, micro-batch, evaluate, and answer one point request.
 
@@ -473,13 +458,8 @@ class EvaluationService:
         the underlying evaluation is then abandoned, not interrupted —
         and :class:`EvaluationFailedError` when the evaluator raised.
         """
-        if admit:
-            # Search-internal resubmissions (admit=False) still run
-            # while draining: drain finishes in-flight searches.
-            self._check_accepting()
-        elif not self._running:
-            raise ServiceClosedError("service is not running")
-        if admit and self.n_pending >= self.config.max_pending:
+        self._check_accepting()
+        if self.n_pending >= self.config.max_pending:
             self.n_rejected += 1
             for registry in self._registries():
                 registry.counter("serve.rejected").inc()
@@ -593,9 +573,10 @@ class EvaluationService:
     ) -> Dict[str, Any]:
         """Run a full multiresolution search on the search executor.
 
-        The search's grid batches re-enter the micro-batcher through
-        :class:`_ServeEvaluatorProxy`, sharing batches and cache state
-        with concurrent client traffic for the same specification.
+        The search prices its points on the search thread through
+        :class:`_ServeEvaluatorProxy`, sharing cache state (not
+        micro-batches) with concurrent client traffic for the same
+        specification.
         """
         self._check_accepting()
         if session.spec is None:
@@ -695,7 +676,7 @@ class EvaluationService:
 
         A library hit costs zero evaluations; a miss falls back to a
         warm-started search on the search executor (sharing the
-        session's evaluator, cache, and micro-batcher) whose log is
+        session's evaluator and cache) whose log is
         ingested before the frontier is re-queried.
         """
         self._check_accepting()
@@ -771,7 +752,6 @@ class EvaluationService:
             "queue_depth": self.n_pending,
             "max_pending": self.config.max_pending,
             "max_batch": self.config.max_batch,
-            "linger_s": self.config.linger_s,
             "workers": self.config.workers,
             "requests": self.n_requests,
             "rejected": self.n_rejected,

@@ -342,7 +342,7 @@ class TestServeRecommend:
         )
 
         spec = ViterbiSpec(1e6, BERThresholdCurve.single(4.0, 5e-2))
-        with ServeHandle(ServiceConfig(linger_s=0.002)).start() as handle:
+        with ServeHandle(ServiceConfig()).start() as handle:
             with handle.client() as client:
                 with pytest.raises(ServeRequestError):
                     client.recommend(spec=spec_to_payload(spec))

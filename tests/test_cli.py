@@ -2,10 +2,16 @@
 
 from __future__ import annotations
 
+import json
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import build_parser, main
 
 
@@ -203,3 +209,100 @@ class TestAtlasEndToEnd:
         assert code == 0, out
         replayed = re.search(r"atlas: \d+ seeds / (\d+) replayed", out)
         assert replayed is not None and int(replayed.group(1)) > 0, out
+
+
+#: ``PYTHONPATH`` for the CLI subprocesses: the tree under test.
+SRC = str(Path(repro.__file__).resolve().parents[1])
+CLIENT_EVAL = [
+    "--metacore", "viterbi", "--ber", "1e-2", "--throughput", "1e6",
+    "--k", "3", "--q", "hard",
+]
+
+
+def _cli(*args: str, **kwargs) -> subprocess.Popen:
+    """Start ``python -m repro.cli <args>`` on the tree under test."""
+    env = {**os.environ, "PYTHONPATH": SRC}
+    return subprocess.Popen(
+        [sys.executable, "-m", "repro.cli", *args],
+        stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+        env=env, **kwargs,
+    )
+
+
+def _processes_mentioning(marker: str):
+    """PIDs whose command line contains ``marker`` (forked pool workers
+    inherit their server's); None where ``/proc`` does not exist."""
+    if not os.path.isdir("/proc"):
+        return None
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read().decode(errors="replace")
+            with open(f"/proc/{entry}/stat") as handle:
+                state = handle.read().rsplit(")", 1)[1].split()[0]
+        except OSError:
+            continue  # exited while we looked
+        if marker in cmdline and state != "Z":
+            pids.append(int(entry))
+    return pids
+
+
+class TestServeEndToEnd:
+    """``metacores serve`` and ``metacores client`` as separate processes."""
+
+    def _serve(self, cache: Path):
+        server = _cli("serve", "--port", "0", "--cache", str(cache))
+        for line in server.stdout:
+            if line.startswith("serving on "):
+                return server, line.rsplit(":", 1)[1].strip()
+        server.wait(timeout=30)
+        pytest.fail(f"server exited ({server.returncode}) before serving")
+
+    def _client(self, port: str, command: str, *args: str):
+        return _cli("client", command, "--port", port, *args)
+
+    def _shutdown(self, server: subprocess.Popen, port: str) -> None:
+        out, _ = self._client(port, "shutdown").communicate(timeout=60)
+        assert "server stopping" in out
+        assert server.wait(timeout=60) == 0
+        assert "server stopped" in server.stdout.read()
+
+    def test_cold_fill_then_warm_concurrent_clients(self, tmp_path):
+        cache = tmp_path / "serve-cache.jsonl"
+        servers = []
+        try:
+            # Cold: one eval fills the persistent cache.
+            server, port = self._serve(cache)
+            servers.append(server)
+            client = self._client(port, "eval", *CLIENT_EVAL)
+            out, _ = client.communicate(timeout=120)
+            assert client.returncode == 0, out
+            assert "area_mm2" in out
+            self._shutdown(server, port)
+            assert cache.stat().st_size > 0
+
+            # Warm: three concurrent clients, answered from the cache.
+            server, port = self._serve(cache)
+            servers.append(server)
+            clients = [
+                self._client(port, "eval", *CLIENT_EVAL) for _ in range(3)
+            ]
+            outputs = [client.communicate(timeout=120)[0] for client in clients]
+            assert all(client.returncode == 0 for client in clients), outputs
+            assert len(set(outputs)) == 1 and "area_mm2" in outputs[0]
+            status_client = self._client(port, "status")
+            status = json.loads(status_client.communicate(timeout=60)[0])
+            assert status["persistent_hits"] > 0, status
+            assert status["requests"] == 3, status
+            self._shutdown(server, port)
+        finally:
+            for server in servers:
+                if server.poll() is None:
+                    server.kill()
+                    server.wait(timeout=30)
+                server.stdout.close()
+        # No serve process, nor a pool worker forked from one, survives.
+        assert _processes_mentioning(str(cache)) in ([], None)

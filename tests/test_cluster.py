@@ -301,13 +301,15 @@ class TestClusterDifferential:
 
 
 class FakeReplica:
-    """Minimal protocol server with a configurable eval delay."""
+    """Minimal protocol server with a configurable eval/search delay."""
 
     def __init__(self, tag: str, delay_s: float = 0.0) -> None:
         self.tag = tag
         self.delay_s = delay_s
         self.port = 0
         self.n_evals = 0
+        #: ``search``/``recommend`` requests received, by op.
+        self.n_slow_ops: Dict[str, int] = {}
         self._thread: threading.Thread = None
         self._loop = None
         self._server = None
@@ -339,6 +341,11 @@ class FakeReplica:
                     request_id,
                     {"metrics": {"answered_by": self.tag}, "session": "s"},
                 )
+            elif op in ("search", "recommend"):
+                self.n_slow_ops[op] = self.n_slow_ops.get(op, 0) + 1
+                if self.delay_s:
+                    await asyncio.sleep(self.delay_s)
+                response = ok_response(request_id, {"answered_by": self.tag})
             else:
                 response = error_response(
                     request_id, "bad_request", f"fake has no {op!r}"
@@ -437,6 +444,28 @@ class TestHedging:
             while connection._pending and time.time() < deadline:
                 time.sleep(0.01)
             assert not connection._pending
+        finally:
+            handle.stop()
+            for fake in fakes.values():
+                fake.stop()
+
+    @pytest.mark.parametrize("op", ["search", "recommend"])
+    def test_slow_search_is_never_hedged(self, op):
+        """A search outlives any hedge deadline; duplicating it would
+        only burn a second replica's CPU, so the router never does."""
+        fakes, handle = self._two_fakes_router(hedge_after_s=0.08)
+        try:
+            router = handle.router
+            key = "session-key"
+            primary, backup = router.ring.preference(key)[:2]
+            fakes[primary].delay_s = 0.4  # five hedge deadlines
+            with handle.client() as client:
+                result = getattr(client, op)(session=key)
+            assert result == {"answered_by": primary}
+            assert router.metrics.counter("cluster.hedges").value == 0
+            assert fakes[primary].n_slow_ops == {op: 1}
+            assert fakes[backup].n_slow_ops == {}
+            assert fakes[backup].n_evals == 0
         finally:
             handle.stop()
             for fake in fakes.values():

@@ -404,7 +404,7 @@ class TestGoldenServe:
             throughput_bps=1e6,
             ber_curve=BERThresholdCurve.single(2.0, 1e-2),
         )
-        handle = ServeHandle(ServiceConfig(max_batch=4, linger_s=0.001))
+        handle = ServeHandle(ServiceConfig(max_batch=4))
         with handle:
             with handle.client() as client:
                 served = client.eval(

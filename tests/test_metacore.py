@@ -221,7 +221,7 @@ class TestCustomDefinition:
     def test_served_eval_and_search(self):
         payload = spec_to_payload(_ToySpec(3.0))
         assert payload == {"kind": "toy", "offset": 3.0}
-        with ServeHandle(ServiceConfig(linger_s=0.001)) as handle:
+        with ServeHandle(ServiceConfig()) as handle:
             with handle.client() as client:
                 assert client.eval({"x": 1}, spec=payload) == {"cost": 4.0}
                 result = client.search(spec=payload)

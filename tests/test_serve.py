@@ -95,9 +95,26 @@ class PoisonedEvaluator(RecordingEvaluator):
         return super().evaluate(point, fidelity)
 
 
+class SlowEvaluator:
+    """Delegates to ``inner`` after a sleep per point; flags its first call."""
+
+    def __init__(self, inner, delay_s: float) -> None:
+        self.inner = inner
+        self.delay_s = delay_s
+        self.max_fidelity = inner.max_fidelity
+        self.started = threading.Event()
+
+    def fingerprint(self) -> str:
+        return f"slow:{self.delay_s}:{self.inner.fingerprint()}"
+
+    def evaluate(self, point, fidelity):
+        self.started.set()
+        time.sleep(self.delay_s)
+        return self.inner.evaluate(point, fidelity)
+
+
 def started_handle(**config_kwargs) -> ServeHandle:
-    config = ServiceConfig(**{"linger_s": 0.002, **config_kwargs})
-    return ServeHandle(config).start()
+    return ServeHandle(ServiceConfig(**config_kwargs)).start()
 
 
 POINTS = [{"x": float(i), "y": float(i % 5)} for i in range(24)]
@@ -237,12 +254,36 @@ class TestDifferentialSearch:
         assert served["n_evaluations"] == direct.log.n_evaluations
 
 
+class TestServedSearchPath:
+    """A served search prices its points on its own thread."""
+
+    def test_search_shares_the_cache_but_not_the_batches(self):
+        from repro.iir import IIRSpec
+
+        payload = spec_to_payload(IIRSpec.paper(4.0))
+        with started_handle() as handle:
+            with handle.client() as client:
+                served = client.search(
+                    spec=payload, config={"max_resolution": 0}
+                )
+                idle = client.status()
+                client.eval(served["best_point"], spec=payload)
+                status = client.status()
+        assert served["n_evaluations"] > 0
+        assert idle["searches"] == 1
+        assert idle["requests"] == 0
+        assert idle["batches"] == 0
+        # A client eval of a point the search priced is a cache hit.
+        (session_stats,) = status["sessions"].values()
+        assert session_stats["computed"] == served["n_evaluations"]
+        assert session_stats["cache_hits"] >= 1
+        assert status["batches"] == 1
+
+
 class TestBackpressure:
     def test_admission_control_rejects_overload(self):
         evaluator = RecordingEvaluator(delay_s=0.1)
-        with started_handle(
-            max_batch=1, max_pending=2, linger_s=0.0
-        ) as handle:
+        with started_handle(max_batch=1, max_pending=2) as handle:
             session = handle.service.register_evaluator("slow", evaluator)
             futures = [
                 handle.submit_async(
@@ -272,7 +313,7 @@ class TestBackpressure:
 
     def test_per_request_timeout(self):
         evaluator = RecordingEvaluator(delay_s=0.5)
-        with started_handle(max_batch=1, linger_s=0.0) as handle:
+        with started_handle(max_batch=1) as handle:
             session = handle.service.register_evaluator("slow", evaluator)
             future = handle.submit_async(
                 handle.service.submit_point(
@@ -286,7 +327,7 @@ class TestBackpressure:
 
     def test_client_timeout_over_the_wire(self):
         evaluator = RecordingEvaluator(delay_s=0.5)
-        with started_handle(max_batch=1, linger_s=0.0) as handle:
+        with started_handle(max_batch=1) as handle:
             handle.service.register_evaluator("slow", evaluator)
             with handle.client() as client:
                 with pytest.raises(ServeRequestError) as info:
@@ -316,7 +357,7 @@ class TestResilience:
 
     def test_unprotected_poison_fails_only_its_request(self):
         evaluator = PoisonedEvaluator()
-        with started_handle(max_batch=1, linger_s=0.0) as handle:
+        with started_handle(max_batch=1) as handle:
             handle.service.register_evaluator("poison", evaluator)
             with handle.client() as client:
                 with pytest.raises(ServeRequestError) as info:
@@ -455,6 +496,32 @@ class TestShutdown:
         with pytest.raises(OSError):
             socket.create_connection(handle.address, timeout=1)
 
+    def test_stop_fails_a_running_search(self):
+        from repro.iir import IIRSpec
+        from repro.serve.service import evaluator_for_payload
+
+        kind, spec, inner = evaluator_for_payload(
+            spec_to_payload(IIRSpec.paper(4.0))
+        )
+        evaluator = SlowEvaluator(inner, delay_s=0.05)
+        handle = started_handle()
+        session = handle.service.register_evaluator(
+            "slow-iir", evaluator, kind=kind, spec=spec
+        )
+        future = handle.submit_async(
+            handle.service.submit_search(session, {"max_resolution": 1})
+        )
+        assert evaluator.started.wait(30), "search never priced a point"
+        handle.stop()
+        with pytest.raises(Exception) as info:
+            future.result(30)
+        assert getattr(info.value, "code", None) == "closed"
+        assert not [
+            thread
+            for thread in threading.enumerate()
+            if thread.name.startswith("serve-search")
+        ]
+
     def test_stop_is_idempotent(self):
         handle = started_handle()
         handle.stop()
@@ -463,7 +530,7 @@ class TestShutdown:
 
 
 class TestMicroBatcherUnit:
-    def test_linger_and_bound(self):
+    def test_bound(self):
         import asyncio
 
         async def scenario():
@@ -474,9 +541,7 @@ class TestMicroBatcherUnit:
                 for request in requests:
                     request.future.set_result({"ok": 1.0})
 
-            batcher = MicroBatcher(
-                run_batch, max_batch=3, linger_s=0.01
-            )
+            batcher = MicroBatcher(run_batch, max_batch=3)
             loop = asyncio.get_running_loop()
             from repro.serve import PendingRequest
 
