@@ -42,7 +42,7 @@ import math
 import sys
 from typing import Iterator, List, Optional
 
-from repro.core import BERThresholdCurve, SearchConfig
+from repro.core import STRATEGIES, BERThresholdCurve, SearchConfig
 from repro.core.metacore import (
     MetaCore,
     definition_for_spec,
@@ -131,11 +131,11 @@ def _add_kernel_arg(parser: argparse.ArgumentParser) -> None:
 def _add_strategy_arg(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--strategy",
-        choices=("grid", "evolve", "surrogate"),
+        choices=STRATEGIES,
         default="grid",
         help="exploration strategy: the multiresolution grid funnel "
-        "(default), seeded evolutionary search, or surrogate-model "
-        "pruned grid rounds (see docs/search-strategies.md)",
+        "(default) or seeded evolutionary search "
+        "(see docs/search-strategies.md)",
     )
 
 

@@ -54,8 +54,6 @@ from repro.core.metacore import (
 from repro.core.strategies import (
     STRATEGIES,
     EvolutionaryStrategy,
-    SurrogateModel,
-    SurrogateStrategy,
     validate_strategy,
 )
 from repro.core.baselines import (
@@ -109,8 +107,6 @@ __all__ = [
     "register_metacore",
     "STRATEGIES",
     "EvolutionaryStrategy",
-    "SurrogateModel",
-    "SurrogateStrategy",
     "validate_strategy",
     "ExhaustiveSearch",
     "RandomSearch",

@@ -163,6 +163,7 @@ class SimulatedAnnealing(_BaselineBase):
 
 
 def _random_point(space: DesignSpace, rng: np.random.Generator) -> Point:
+    """One uniform draw from the design space."""
     point: Point = {}
     for parameter in space.parameters:
         if isinstance(parameter, DiscreteParameter):

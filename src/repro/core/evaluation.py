@@ -244,19 +244,6 @@ class CachingEvaluator:
             self._cache[key] = (int(fidelity), dict(metrics))
             return True
 
-    def cached_records(self) -> List[Tuple[Tuple, int, Metrics]]:
-        """Snapshot of the in-memory cache as (key, fidelity, metrics).
-
-        Insertion-ordered (preloads first, then computed batches), so
-        consumers — the surrogate strategy harvests these as training
-        samples — see a deterministic sequence.
-        """
-        with self._lock:
-            return [
-                (key, fidelity, dict(metrics))
-                for key, (fidelity, metrics) in self._cache.items()
-            ]
-
     def evaluate(self, point: Point, fidelity: int) -> Metrics:
         return self.evaluate_many([point], fidelity)[0]
 

@@ -1,9 +1,8 @@
 """Normalized coordinates of design points (paper Sec. 4.4).
 
 Design points live in a mixed discrete/continuous space.  Models that
-reason about distances between points (the Bayesian BER predictor,
-the surrogate search strategy) first map each point to normalized
-coordinates in the unit cube.
+reason about distances between points (the Bayesian BER predictor)
+first map each point to normalized coordinates in the unit cube.
 """
 
 from __future__ import annotations

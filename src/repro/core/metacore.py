@@ -139,9 +139,6 @@ class MetaCore:
     #: Path of the persistent design atlas (None = no library): searches
     #: warm-start from it and ingest their logs back into it.
     atlas_path: Optional[str] = None
-    #: Search strategy override ("grid", "evolve" or "surrogate");
-    #: None defers to :attr:`config` (whose own default is "grid").
-    strategy: Optional[str] = None
 
     @property
     def definition(self) -> MetaCoreDefinition:
@@ -155,12 +152,6 @@ class MetaCore:
     def design_space(self) -> DesignSpace:
         """The definition's space with this MetaCore's fixed parameters."""
         return self.definition.design_space(self.fixed)
-
-    def _effective_config(self) -> Optional[SearchConfig]:
-        """:attr:`config` with the :attr:`strategy` override applied."""
-        if self.strategy is None:
-            return self.config
-        return replace(self.config or SearchConfig(), strategy=self.strategy)
 
     def _open_atlas(self, engine):
         """(atlas, seeder) for this scenario, or (None, None)."""
@@ -201,7 +192,7 @@ class MetaCore:
                 self.design_space(),
                 self.spec.goal(),
                 evaluator,
-                config=self._effective_config(),
+                config=self.config,
                 normalizer=self.definition.normalizer,
                 store=store,
                 atlas=seeder,

@@ -63,9 +63,9 @@ class SearchConfig:
     #: not always the true one.
     confirm_top_k: int = 3
     #: Exploration strategy: "grid" (the paper's multiresolution
-    #: funnel), "evolve" (seeded tournament selection + mutation), or
-    #: "surrogate" (model-ranked pruning of grid rounds).  See
-    #: :mod:`repro.core.strategies` and ``docs/search-strategies.md``.
+    #: funnel) or "evolve" (seeded tournament selection + mutation).
+    #: See :mod:`repro.core.strategies` and
+    #: ``docs/search-strategies.md``.
     strategy: str = "grid"
     #: Master seed for strategy-internal randomness (the evolutionary
     #: mode); every draw derives from it deterministically.
@@ -74,12 +74,6 @@ class SearchConfig:
     evolve_population: int = 12
     #: Evolutionary generations after the coarse-grid seeding round.
     evolve_generations: int = 5
-    #: Fraction of each refined grid the surrogate strategy evaluates
-    #: (model-ranked best first; anchors are always kept).  Lower
-    #: fractions save more evaluations but may prune the winning basin
-    #: on rugged landscapes — raise toward 0.5 (or warm-start from an
-    #: atlas) when exact grid parity matters more than evaluations.
-    surrogate_keep: float = 0.35
 
 
 @dataclass
@@ -106,9 +100,8 @@ class SearchResult:
     atlas_levels_skipped: int = 0
     #: Which exploration strategy produced this result.
     strategy: str = "grid"
-    #: Candidate evaluations the strategy avoided paying for (pruned by
-    #: the surrogate model, or answered from cache for evolve; 0 for
-    #: the plain grid funnel).
+    #: Candidate evaluations the strategy avoided paying for (evolve
+    #: proposals answered from cache; 0 for the plain grid funnel).
     evals_saved: int = 0
 
     @property
@@ -206,14 +199,12 @@ class MetacoreSearch:
     _METHOD_LABELS = {
         "grid": "multiresolution",
         "evolve": "evolutionary",
-        "surrogate": "surrogate",
     }
 
     def run(self) -> SearchResult:
         """Execute the full search and return the best design found."""
         from repro.core.strategies import (
             EvolutionaryStrategy,
-            SurrogateStrategy,
             validate_strategy,
         )
 
@@ -226,8 +217,6 @@ class MetacoreSearch:
             atlas_replayed = self._replay_atlas()
             if strategy == "evolve":
                 evals_saved = EvolutionaryStrategy(self).explore()
-            elif strategy == "surrogate":
-                evals_saved = SurrogateStrategy(self).explore()
             else:
                 self._search_region(Region.full(self.space), level=0)
             # Seeds are injected *after* the cold recursion: the

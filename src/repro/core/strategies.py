@@ -1,47 +1,33 @@
-"""Pluggable search strategies beside the multiresolution grid funnel.
+"""The evolutionary strategy beside the multiresolution grid funnel.
 
 The paper's search (Sec. 4.4, :mod:`repro.core.search`) explores the
-design space with a recursive grid; this module adds two alternative
-exploration strategies that reuse the same evaluator stack, ranking
-map, Bayesian regularization, and confirmation pass — so caching,
-parallel workers, checkpoints, atlas warm starts, and the serve layer
-compose with them unchanged:
+design space with a recursive grid.  :class:`EvolutionaryStrategy`
+(``strategy="evolve"``) is the one alternative: a seeded evolutionary
+search that reuses the same evaluator stack, ranking map, Bayesian
+regularization and confirmation pass, so caching, parallel workers,
+checkpoints, atlas warm starts and the serve layer compose with it
+unchanged.  The coarse grid seeds an initial population, then
+tournament selection plus neighbor mutation breed offspring
+generations at escalating fidelity.  Every random draw derives from
+``SearchConfig.strategy_seed`` and the generation index alone, so
+serial, parallel and checkpoint-resumed runs take bit-identical paths.
 
-- :class:`EvolutionaryStrategy` (``strategy="evolve"``): a seeded
-  evolutionary search — the coarse grid seeds an initial population,
-  then tournament selection plus neighbor mutation breed offspring
-  generations at escalating fidelity.  Every random draw derives from
-  ``SearchConfig.strategy_seed`` and the generation index alone, so
-  serial, parallel, and checkpoint-resumed runs take bit-identical
-  paths.
-- :class:`SurrogateStrategy` (``strategy="surrogate"``): the grid
-  funnel with model-ranked pruning — a cheap ridge-regression /
-  nearest-neighbor blend (:class:`SurrogateModel`) is fitted on the
-  normalized coordinates of everything evaluated so far (including
-  atlas-replayed records) and ranks each refined grid before paying
-  for it; only the most promising fraction is evaluated.  The strategy
-  is RNG-free: ranking ties break on the frozen design point, so the
-  selection is deterministic under any candidate ordering.  When too
-  little training data exists to fit a model, a level falls back to
-  evaluating its full grid (the plain grid behavior).
-
-Both strategies leave their candidates in the search's ranked map and
-let :meth:`MetacoreSearch._confirm_winner` re-price the leaders at the
-evaluator's top fidelity — cheap evaluations rank, expensive ones
+The strategy leaves its candidates in the search's ranked map and lets
+:meth:`MetacoreSearch._confirm_winner` re-price the leaders at the
+evaluator's top fidelity: cheap evaluations rank, expensive ones
 decide, exactly as in the grid funnel.
 """
 
 from __future__ import annotations
 
-import math
 from functools import cmp_to_key
-from typing import List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
+from repro.core.baselines import _random_point
 from repro.core.evaluation import Metrics
-from repro.core.grid import GridSample, Region
-from repro.core.objectives import DesignGoal
+from repro.core.grid import Region
 from repro.core.parameters import (
     ContinuousParameter,
     Correlation,
@@ -56,11 +42,7 @@ from repro.observability.trace import get_tracer
 from repro.utils.rng import spawn_rng
 
 #: The strategies :class:`repro.core.search.MetacoreSearch` dispatches on.
-STRATEGIES = ("grid", "evolve", "surrogate")
-
-#: Penalty weight collapsing constraint violation into score units
-#: (matches the annealing baseline's scalarization).
-VIOLATION_WEIGHT = 1.0e6
+STRATEGIES = ("grid", "evolve")
 
 
 def validate_strategy(name: str) -> str:
@@ -72,207 +54,6 @@ def validate_strategy(name: str) -> str:
             f"choose one of {', '.join(STRATEGIES)}"
         )
     return normalized
-
-
-def goal_scalar(goal: DesignGoal, metrics: Metrics) -> float:
-    """Feasibility-first scalar score (lower is better).
-
-    Infeasible points score ``VIOLATION_WEIGHT * (1 + violation)`` so
-    any feasible point beats any infeasible one; feasible points score
-    their primary objective.  Mirrors the total order of
-    :meth:`DesignGoal.compare` closely enough for model fitting.
-    """
-    violation = goal.total_violation(metrics)
-    if violation > 0:
-        if not math.isfinite(violation):
-            return math.inf
-        return VIOLATION_WEIGHT * (1.0 + violation)
-    return goal.primary.score(metrics)
-
-
-# ---------------------------------------------------------------------------
-# The regression surrogate
-# ---------------------------------------------------------------------------
-
-
-def model_features(space: DesignSpace, point: Point) -> np.ndarray:
-    """Regression features of a design point.
-
-    Correlated parameters map to one normalized [0, 1] coordinate (the
-    same mapping :func:`repro.core.interpolate.point_coordinates`
-    uses); *non-correlated* discrete parameters (categorical choices
-    like a filter structure) are one-hot encoded instead — a linear
-    model can then learn a per-category offset, where a fake numeric
-    ordering of the categories would only inject noise.
-    """
-    features: List[float] = []
-    for parameter in space.parameters:
-        value = point[parameter.name]
-        if isinstance(parameter, DiscreteParameter):
-            if parameter.correlation is Correlation.NONE:
-                index = parameter.index_of(value)
-                features.extend(
-                    1.0 if i == index else 0.0
-                    for i in range(parameter.size)
-                )
-            elif parameter.size == 1:
-                features.append(0.0)
-            else:
-                features.append(
-                    parameter.index_of(value) / (parameter.size - 1)
-                )
-        elif isinstance(parameter, ContinuousParameter):
-            span = parameter.upper - parameter.lower
-            features.append(
-                0.0
-                if span == 0
-                else (float(value) - parameter.lower) / span
-            )
-    return np.asarray(features, dtype=float)
-
-
-class SurrogateModel:
-    """Ridge regression blended with nearest-neighbor lookup.
-
-    Features are the normalized unit-cube coordinates of a design point
-    (:func:`model_features`, one-hot for categoricals); the target is
-    the scalarized goal score.  The ridge half captures the smooth
-    global trend (area and throughput are smooth in the paper's own
-    words), the nearest-neighbor half keeps the model exact near
-    training samples, where the funnel refines.
-
-    The model is fully deterministic: fitting solves a closed-form
-    normal equation and prediction is a pure function of the point, so
-    :meth:`rank` orders any candidate list identically regardless of
-    the order the candidates are presented in (ties break on the
-    frozen design point).
-    """
-
-    def __init__(
-        self,
-        space: DesignSpace,
-        ridge_lambda: float = 1e-3,
-        nn_weight: float = 0.5,
-    ) -> None:
-        self.space = space
-        self.ridge_lambda = float(ridge_lambda)
-        self.nn_weight = float(nn_weight)
-        self._weights: Optional[np.ndarray] = None
-        self._train_coords: Optional[np.ndarray] = None
-        self._train_scores: Optional[np.ndarray] = None
-
-    @property
-    def is_fitted(self) -> bool:
-        return self._weights is not None
-
-    @property
-    def n_samples(self) -> int:
-        return 0 if self._train_scores is None else len(self._train_scores)
-
-    def fit(self, points: Sequence[Point], scores: Sequence[float]) -> bool:
-        """Fit on (point, scalar score) samples; returns fit success.
-
-        Infeasible samples carry a :data:`VIOLATION_WEIGHT`-scale
-        penalty that would swamp the regression: a feasible candidate
-        whose nearest training neighbor happens to be infeasible would
-        inherit a penalty-scale prediction and be pruned no matter how
-        good its own region looks.  They are instead compressed
-        monotonically into a narrow band one score-span above the worst
-        feasible sample — still repelling the ranking, ordered by
-        violation, without poisoning their feasible neighbors.
-        Non-finite scores (dead points) land at the top of that band.
-        With no finite sample at all the model stays unfitted (the
-        strategy then falls back to grid evaluation).
-        """
-        if len(points) != len(scores):
-            raise ConfigurationError("points and scores lengths disagree")
-        if not points:
-            return False
-        y = np.asarray([float(s) for s in scores], dtype=float)
-        finite = np.isfinite(y)
-        if not finite.any():
-            return False
-        feasible = finite & (y < VIOLATION_WEIGHT)
-        if feasible.any():
-            lo = float(y[feasible].min())
-            hi = float(y[feasible].max())
-        else:
-            lo, hi = 0.0, 1.0
-        cap = hi + max(hi - lo, 1.0)
-        safe = np.where(finite, y, np.inf)
-        y = np.where(
-            feasible, y, cap + np.arctan(safe / VIOLATION_WEIGHT)
-        )
-        coords = np.vstack(
-            [model_features(self.space, point) for point in points]
-        )
-        design = np.hstack([coords, np.ones((coords.shape[0], 1))])
-        gram = design.T @ design + self.ridge_lambda * np.eye(design.shape[1])
-        self._weights = np.linalg.solve(gram, design.T @ y)
-        self._train_coords = coords
-        self._train_scores = y
-        return True
-
-    def predict(self, point: Point) -> float:
-        """Predicted scalar score of a single point (lower = better)."""
-        return float(self.predict_many([point])[0])
-
-    def predict_many(self, points: Sequence[Point]) -> np.ndarray:
-        """Vectorized prediction; aligns with ``points`` order."""
-        if not self.is_fitted:
-            raise ConfigurationError("surrogate model is not fitted")
-        assert self._train_coords is not None
-        assert self._train_scores is not None
-        if len(points) == 0:
-            return np.empty(0, dtype=float)
-        coords = np.vstack(
-            [model_features(self.space, point) for point in points]
-        )
-        design = np.hstack([coords, np.ones((coords.shape[0], 1))])
-        ridge = design @ self._weights
-        # Nearest training neighbor; distance ties resolve to the best
-        # (lowest) score among the tied neighbors, which is independent
-        # of training insertion order.
-        distances = np.linalg.norm(
-            coords[:, None, :] - self._train_coords[None, :, :], axis=2
-        )
-        nearest = distances.min(axis=1)
-        nn = np.array(
-            [
-                self._train_scores[
-                    np.isclose(row, near, rtol=0.0, atol=1e-12)
-                ].min()
-                for row, near in zip(distances, nearest)
-            ]
-        )
-        return (1.0 - self.nn_weight) * ridge + self.nn_weight * nn
-
-    def rank(self, points: Sequence[Point]) -> List[int]:
-        """Indices of ``points`` ordered best-predicted first.
-
-        The order is invariant under any shuffle of ``points``:
-        predictions are pure per-point functions and ties break on the
-        frozen (sorted-key) design point, never on list position.
-        """
-        predictions = self.predict_many(points)
-        keyed = [
-            (float(prediction), frozen_point(point), index)
-            for index, (prediction, point) in enumerate(
-                zip(predictions, points)
-            )
-        ]
-        keyed.sort(key=lambda item: (item[0], _tie_key(item[1])))
-        return [index for _, _, index in keyed]
-
-
-def _tie_key(key: Tuple) -> Tuple:
-    """A totally ordered stand-in for a frozen point (mixed types)."""
-    return tuple((name, repr(value)) for name, value in key)
-
-
-# ---------------------------------------------------------------------------
-# Exploration strategies (driven by MetacoreSearch)
-# ---------------------------------------------------------------------------
 
 
 class EvolutionaryStrategy:
@@ -564,23 +345,6 @@ class EvolutionaryStrategy:
         )
 
 
-def _random_point(
-    space: DesignSpace, rng: np.random.Generator
-) -> Point:
-    """One uniform draw from the design space."""
-    point: Point = {}
-    for parameter in space.parameters:
-        if isinstance(parameter, DiscreteParameter):
-            point[parameter.name] = parameter.values[
-                int(rng.integers(parameter.size))
-            ]
-        elif isinstance(parameter, ContinuousParameter):
-            point[parameter.name] = float(
-                rng.uniform(parameter.lower, parameter.upper)
-            )
-    return point
-
-
 def _mutate_point(
     space: DesignSpace, point: Point, rng: np.random.Generator
 ) -> Point:
@@ -625,203 +389,3 @@ def _mutate_point(
                 max(value, parameter.lower), parameter.upper
             )
     return mutated
-
-
-class SurrogateStrategy:
-    """The grid funnel with model-ranked pruning of refined grids.
-
-    Level 0 evaluates the full coarse grid (identical to the grid
-    strategy — this is also the model's training set); every deeper
-    level ranks the refined regions' candidate grids with the
-    :class:`SurrogateModel` and evaluates only the top
-    ``surrogate_keep`` fraction (never fewer than ``refine_top_k``
-    candidates, and always including each region's anchor point, so the
-    greedy funnel's own descent path stays priced).  The model is
-    refitted after every level on everything evaluated so far —
-    including records replayed from the atlas or a persistent cache,
-    which sharpen the ranking for free.
-
-    Pruned candidates are counted as saved evaluations
-    (``search.strategy.surrogate.evals_saved``).  Levels that cannot
-    fit a model (no finite training scores yet) fall back to full grid
-    evaluation and are counted in
-    ``search.strategy.surrogate.fallbacks``.
-    """
-
-    name = "surrogate"
-
-    def __init__(self, search) -> None:
-        self.search = search
-        self.model = SurrogateModel(search.space)
-
-    def explore(self) -> int:
-        """Run the pruned funnel; returns candidate evaluations saved."""
-        search = self.search
-        self._training_points: List[Point] = []
-        self._training_scores: List[float] = []
-        self._saved = 0
-        self._fallbacks = 0
-
-        # Records already in the cache (atlas replay, preloads) are
-        # free training data for the first fit.
-        for key, _fidelity, metrics in search.evaluator.cached_records():
-            point = dict(key)
-            try:
-                search.space.validate_point(point)
-            except Exception:
-                continue  # replayed from an incompatible space slice
-            self._absorb(point, metrics)
-        if self._training_points:
-            self._refit()
-
-        self._walk(Region.full(search.space), level=0, anchor=None)
-
-        registry = get_registry()
-        registry.counter(f"search.strategy.{self.name}.evals_saved").inc(
-            self._saved
-        )
-        if self._fallbacks:
-            registry.counter(
-                f"search.strategy.{self.name}.fallbacks"
-            ).inc(self._fallbacks)
-        return self._saved
-
-    def _walk(
-        self, region: Region, level: int, anchor: Optional[Point]
-    ) -> None:
-        """One recursion of the grid funnel, with model pruning.
-
-        This deliberately mirrors ``MetacoreSearch._search_region``
-        step for step — same depth-first descent order, same
-        ``(bounds, level)`` region dedupe, same per-region grid with
-        duplicates across sibling regions re-submitted — because the
-        Bayesian BER regularization accumulates per-point state whose
-        posteriors depend on evaluation order.  The only deviation is
-        the pruning step: a fitted model ranks the region's grid and
-        only the top ``surrogate_keep`` fraction (plus the survivor
-        point that spawned the region) is priced.
-        """
-        search = self.search
-        config = search.config
-        goal = search.goal
-        region_key = (region.bounds, level)
-        if region_key in search._regions_seen:
-            return
-        search._regions_seen.add(region_key)
-        registry = get_registry()
-        registry.counter("search.regions").inc()
-        tracer = get_tracer()
-        with tracer.span("search.region", level=level) as region_span:
-            resolution = level * config.resolution_increment
-            grid = region.grid(resolution, config.max_grid_points)
-            fidelity = search._fidelity_for_level(level)
-            points: List[Point] = []
-            seen: set = set()
-            for raw_point in grid.points:
-                point = search._normalize(dict(raw_point))
-                key = frozen_point(point)
-                if key in seen:
-                    continue  # normalization may collapse grid points
-                seen.add(key)
-                points.append(point)
-            kept = self._prune(points, level, anchor)
-            priced = search.evaluator.evaluate_many(kept, fidelity)
-            evaluated: List[Tuple[Point, Metrics]] = []
-            for point, raw_metrics in zip(kept, priced):
-                metrics = search._apply_bayes(point, dict(raw_metrics))
-                search._record_ranked(frozen_point(point), metrics)
-                self._absorb(point, metrics)
-                evaluated.append((point, metrics))
-            self._refit()
-            registry.counter("search.grid_points").inc(len(kept))
-            region_span.set(
-                grid_points=len(grid.points),
-                evaluated=len(evaluated),
-                fidelity=fidelity,
-            )
-            if level >= config.max_resolution:
-                region_span.set(survivors=0)
-                return
-            ranked = sorted(
-                evaluated,
-                key=cmp_to_key(lambda a, b: goal.compare(a[1], b[1])),
-            )
-            survivors: List[Tuple[Point, Region]] = []
-            for point, metrics in ranked[: config.refine_top_k]:
-                if not math.isfinite(
-                    goal.primary.score(metrics)
-                ) and not math.isfinite(goal.total_violation(metrics)):
-                    continue  # nothing to learn from a dead region
-                grid_point = search._closest_grid_point(point, grid)
-                if grid_point is None:
-                    continue
-                survivors.append(
-                    (point, region.refine_around(grid_point, grid.samples))
-                )
-            region_span.set(survivors=len(survivors))
-            registry.counter("search.survivors").inc(len(survivors))
-        for point, sub_region in survivors:
-            self._walk(sub_region, level + 1, anchor=point)
-
-    def _prune(
-        self, points: List[Point], level: int, anchor: Optional[Point]
-    ) -> List[Point]:
-        """Model-ranked subset of a region's grid worth pricing.
-
-        The coarse level-0 grid is never pruned (it is the training
-        set); deeper levels without a fitted model fall back to the
-        full grid.  The anchor — the survivor whose refinement created
-        this region — is always kept so the funnel's own descent path
-        stays priced.
-        """
-        config = self.search.config
-        if level == 0:
-            return points
-        if not self.model.is_fitted:
-            self._fallbacks += 1
-            return points
-        anchor_key = (
-            None
-            if anchor is None
-            else frozen_point(self.search._normalize(dict(anchor)))
-        )
-        with get_tracer().span(
-            "search.surrogate.rank", level=level, candidates=len(points)
-        ) as rank_span:
-            order = self.model.rank(points)
-            n_keep = max(
-                1, math.ceil(config.surrogate_keep * len(points))
-            )
-            kept_indices = set(order[:n_keep])
-            if anchor_key is not None:
-                for index, point in enumerate(points):
-                    if frozen_point(point) == anchor_key:
-                        kept_indices.add(index)
-            # Keep grid order, not rank order: the Bayesian BER
-            # regularization is order-sensitive and must see the same
-            # sequence the unpruned funnel would.
-            kept = [
-                point
-                for index, point in enumerate(points)
-                if index in kept_indices
-            ]
-            self._saved += len(points) - len(kept)
-            rank_span.set(
-                kept=len(kept), pruned=len(points) - len(kept)
-            )
-        return kept
-
-    def _absorb(self, point: Point, metrics: Metrics) -> None:
-        self._training_points.append(dict(point))
-        self._training_scores.append(
-            goal_scalar(self.search.goal, metrics)
-        )
-
-    def _refit(self) -> None:
-        with get_tracer().span(
-            "search.surrogate.fit", samples=len(self._training_points)
-        ) as fit_span:
-            fitted = self.model.fit(
-                self._training_points, self._training_scores
-            )
-            fit_span.set(fitted=fitted)

@@ -41,9 +41,12 @@ round-trip), which the bit-identical conformance suite relies on.
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 from typing import Any, Dict
 
 from repro.core.metacore import definition_for_spec, metacore_definition
+from repro.core.search import SearchConfig
+from repro.core.strategies import validate_strategy
 from repro.errors import ConfigurationError
 
 #: Bumped on incompatible message-shape changes.
@@ -128,3 +131,24 @@ def spec_from_payload(payload: Dict[str, Any]) -> object:
             f"malformed {definition.kind} spec payload: "
             f"{type(exc).__name__}: {exc}"
         ) from None
+
+
+def search_config_from_payload(payload: Any) -> SearchConfig:
+    """The :class:`SearchConfig` a request's ``config`` field describes.
+
+    ``None`` means the defaults.  A non-object payload, an unknown field
+    name or an unknown strategy raises :class:`ConfigurationError`,
+    which the server answers as ``bad_request``.
+    """
+    if payload is None:
+        return SearchConfig()
+    if not isinstance(payload, dict):
+        raise ConfigurationError("search config must be an object")
+    unknown = sorted(set(payload) - {f.name for f in fields(SearchConfig)})
+    if unknown:
+        raise ConfigurationError(
+            f"unknown search config field(s): {', '.join(unknown)}"
+        )
+    config = SearchConfig(**payload)
+    validate_strategy(config.strategy)
+    return config

@@ -50,7 +50,10 @@ from repro.errors import ConfigurationError
 from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.observability.trace import get_tracer
 from repro.serve.batching import MicroBatcher, PendingRequest
-from repro.serve.protocol import spec_from_payload
+from repro.serve.protocol import (
+    search_config_from_payload,
+    spec_from_payload,
+)
 
 #: Batch-size histogram edges (requests per micro-batch).
 BATCH_SIZE_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -584,6 +587,7 @@ class EvaluationService:
                 f"session {session.name!r} has no specification; "
                 "searches need a spec-backed session"
             )
+        config = search_config_from_payload(config_fields)
         self.n_searches += 1
         for registry in self._registries():
             registry.counter("serve.searches").inc()
@@ -592,7 +596,7 @@ class EvaluationService:
             self._search_executor,
             self._run_search_sync,
             session,
-            dict(config_fields or {}),
+            config,
             dict(fixed or {}),
         )
 
@@ -613,10 +617,10 @@ class EvaluationService:
     def _run_search_sync(
         self,
         session: EvaluatorSession,
-        config_fields: Dict[str, Any],
+        config: SearchConfig,
         fixed: Dict[str, Any],
     ) -> Dict[str, Any]:
-        result = self._search_result(session, config_fields, fixed)
+        result = self._search_result(session, config, fixed)
         return {
             "feasible": result.feasible,
             "best_point": result.best_point,
@@ -633,14 +637,13 @@ class EvaluationService:
     def _search_result(
         self,
         session: EvaluatorSession,
-        config_fields: Dict[str, Any],
+        config: SearchConfig,
         fixed: Dict[str, Any],
     ):
         definition = metacore_definition(session.kind)
         space = definition.design_space(
             fixed or dict(definition.default_fixed)
         )
-        config = SearchConfig(**config_fields)
         seeder = self._atlas_seeder(session)
         searcher = MetacoreSearch(
             space,
@@ -689,6 +692,7 @@ class EvaluationService:
                 f"session {session.name!r} has no specification; "
                 "recommendations need a spec-backed session"
             )
+        config = search_config_from_payload(config_fields)
         self.n_recommends += 1
         for registry in self._registries():
             registry.counter("serve.recommends").inc()
@@ -698,7 +702,7 @@ class EvaluationService:
             self._run_recommend_sync,
             session,
             dict(constraints or {}),
-            dict(config_fields or {}),
+            config,
             dict(fixed or {}),
         )
 
@@ -706,7 +710,7 @@ class EvaluationService:
         self,
         session: EvaluatorSession,
         constraints: Dict[str, Any],
-        config_fields: Dict[str, Any],
+        config: SearchConfig,
         fixed: Dict[str, Any],
     ) -> Dict[str, Any]:
         from repro.atlas import recommend
@@ -718,7 +722,7 @@ class EvaluationService:
                 session.spec.goal(),
                 constraints=constraints,
                 fallback=lambda: self._search_result(
-                    session, config_fields, fixed
+                    session, config, fixed
                 ),
             )
         self.metrics.counter(

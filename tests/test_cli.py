@@ -306,3 +306,34 @@ class TestServeEndToEnd:
                 server.stdout.close()
         # No serve process, nor a pool worker forked from one, survives.
         assert _processes_mentioning(str(cache)) in ([], None)
+
+
+class TestParallelCacheEndToEnd:
+    """``viterbi-search --workers 2 --cache``: cold fill, then warm hits."""
+
+    SEARCH = [
+        "viterbi-search", "--ber", "5e-2", "--es-n0-db", "4.0",
+        "--throughput", "1e6", "--max-resolution", "1", "--top-k", "1",
+        "--workers", "2",
+    ]
+
+    def _search(self, cache: Path) -> str:
+        process = _cli(*self.SEARCH, "--cache", str(cache))
+        out, _ = process.communicate(timeout=300)
+        assert process.returncode == 0, out
+        return out
+
+    def test_cold_then_warm_persistent_cache(self, tmp_path):
+        cache = tmp_path / "eval-cache.jsonl"
+        cold = self._search(cache)
+        assert re.search(r" 0 persistent-hits", cold), cold
+        warm = self._search(cache)
+        hits = re.search(r" (\d+) persistent-hits", warm)
+        assert hits is not None and int(hits.group(1)) > 0, warm
+        winners = [
+            re.findall(r"^winner:.*$", out, re.MULTILINE)
+            for out in (cold, warm)
+        ]
+        assert winners[0] and winners[0] == winners[1], winners
+        # No pool worker outlives its search.
+        assert _processes_mentioning(str(cache)) in ([], None)

@@ -210,33 +210,6 @@ def _evolve_search_selection() -> Dict[str, Any]:
     }
 
 
-def _surrogate_search_selection() -> Dict[str, Any]:
-    """The surrogate-pruned funnel on the Table 4 IIR space.
-
-    Freezes the pruned walk's selection: the ridge/nearest-neighbor
-    fit, the keep-fraction cut, and the anchor-protected survivor set
-    must reproduce bit-identically for the same seed and space.
-    """
-    from repro.core import SearchConfig
-    from repro.iir import IIRMetaCore, IIRSpec
-
-    metacore = IIRMetaCore(
-        IIRSpec.paper(4.0),
-        config=SearchConfig(
-            max_resolution=1, refine_top_k=2, strategy="surrogate"
-        ),
-    )
-    result = metacore.search()
-    return {
-        "strategy": result.strategy,
-        "feasible": result.feasible,
-        "best_point": result.best_point,
-        "best_metrics": result.best_metrics,
-        "n_evaluations": result.log.n_evaluations,
-        "evals_saved": result.evals_saved,
-    }
-
-
 # ---------------------------------------------------------------------------
 # IIR pipeline: design -> realize -> quantize -> measure -> synthesize
 # ---------------------------------------------------------------------------
@@ -375,11 +348,6 @@ class TestGoldenStrategies:
     def test_evolve_selection(self, regen_golden):
         check_golden(
             "evolve_search", _evolve_search_selection(), regen_golden
-        )
-
-    def test_surrogate_selection(self, regen_golden):
-        check_golden(
-            "surrogate_search", _surrogate_search_selection(), regen_golden
         )
 
 

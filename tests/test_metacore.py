@@ -130,7 +130,6 @@ class TestBindings:
         "max_rounds": None,
         "resilient": False,
         "atlas_path": None,
-        "strategy": None,
     }
 
     @staticmethod

@@ -14,17 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from repro.core import (
-    ContinuousParameter,
-    Correlation,
-    DesignSpace,
-    DiscreteParameter,
-    Region,
-    SurrogateModel,
-)
+from repro.core import DesignSpace, DiscreteParameter, Region
 from repro.core.evaluation import EvaluationRecord
 from repro.core.objectives import Direction, Objective
-from repro.core.parameters import frozen_point
 from repro.core.pareto import dominates, front_sort_key, pareto_front
 from repro.hardware import LeveledProgram, MachineConfig, estimate_area, schedule
 from repro.hardware.vliw import MAX_ALUS, MAX_MEM_PORTS, MAX_MULTS, REGFILE_CHOICES
@@ -441,59 +433,6 @@ class TestParetoProperties:
         assert [
             front_sort_key(r, self.OBJECTIVES) for r in base
         ] == sorted(front_sort_key(r, self.OBJECTIVES) for r in base)
-
-
-class TestStrategyProperties:
-    """Determinism invariants behind the pluggable search strategies."""
-
-    SPACE = DesignSpace(
-        [
-            DiscreteParameter("w", tuple(range(6))),
-            DiscreteParameter(
-                "s", ("ladder", "cascade", "parallel"),
-                correlation=Correlation.NONE,
-            ),
-            ContinuousParameter("r", 0.0, 1.0),
-        ]
-    )
-
-    @classmethod
-    def _random_points(cls, rng, count):
-        structures = ("ladder", "cascade", "parallel")
-        return [
-            {
-                "w": int(rng.integers(6)),
-                "s": structures[rng.integers(3)],
-                "r": float(rng.random()),
-            }
-            for _ in range(count)
-        ]
-
-    @given(
-        seed=st.integers(0, 10_000),
-        n_train=st.integers(2, 10),
-        n_candidates=st.integers(1, 12),
-    )
-    @settings(max_examples=60, deadline=None)
-    def test_surrogate_rank_invariant_under_shuffle(
-        self, seed, n_train, n_candidates
-    ):
-        """The model ranks a candidate list identically no matter what
-        order the candidates are presented in — the property the
-        pruned funnel's determinism guarantee rests on."""
-        rng = np.random.default_rng(seed)
-        training = self._random_points(rng, n_train)
-        scores = [float(s) for s in rng.normal(size=n_train)]
-        model = SurrogateModel(self.SPACE)
-        assume(model.fit(training, scores))
-        candidates = self._random_points(rng, n_candidates)
-        baseline = [
-            frozen_point(candidates[i]) for i in model.rank(candidates)
-        ]
-        permutation = rng.permutation(n_candidates)
-        shuffled = [candidates[i] for i in permutation]
-        again = [frozen_point(shuffled[i]) for i in model.rank(shuffled)]
-        assert baseline == again
 
 
 class TestGridProperties:

@@ -446,6 +446,40 @@ class TestProtocolAndStatus:
                     client.eval({"x": 1.0}, spec=spec)
                 assert info.value.code == "bad_request"
 
+    @pytest.mark.parametrize(
+        "config",
+        [
+            {"max_resolution": 0, "surrogate_keep": 0.5},
+            {"max_resolution": 0, "strategy": "surrogate"},
+            [["max_resolution", 0]],
+        ],
+        ids=["unknown-field", "unknown-strategy", "not-an-object"],
+    )
+    @pytest.mark.parametrize("op", ["search", "recommend"])
+    def test_malformed_search_config_is_bad_request(
+        self, op, config, tmp_path
+    ):
+        from repro.iir import IIRSpec
+
+        payload = spec_to_payload(IIRSpec.paper(4.0))
+        atlas = str(tmp_path / "atlas.jsonl")
+        with started_handle(atlas_path=atlas) as handle:
+            with handle.client() as client:
+                with pytest.raises(ServeRequestError) as info:
+                    if op == "search":
+                        client.search(spec=payload, config=config)
+                    else:
+                        client.recommend(
+                            spec=payload,
+                            constraints={"area_mm2": 1.0},
+                            config=config,
+                        )
+                assert info.value.code == "bad_request"
+                status = client.status()
+        # Rejected before any search work was admitted.
+        assert status["searches"] == 0 and status["recommends"] == 0
+        assert status["requests"] == 0
+
     def test_unknown_op_and_garbage_line(self):
         with started_handle() as handle:
             with socket.create_connection(handle.address, timeout=10) as s:

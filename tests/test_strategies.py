@@ -1,19 +1,11 @@
-"""Differential gates for the pluggable search strategies.
+"""Differential gates for the evolutionary search strategy.
 
 The contract (``docs/search-strategies.md``): on the paper's own
-scenarios each alternative strategy must find a design **no worse**
-than the multiresolution grid while spending **at most half** of the
-grid's evaluator calls —
+Table 3 (Viterbi) and Table 4 (IIR) scenarios, ``evolve`` must find a
+design **no worse** than the multiresolution grid while spending **at
+most half** of the grid's evaluator calls, cold.
 
-- Table 4 (IIR): both ``evolve`` and ``surrogate`` meet the gate cold.
-- Table 3 (Viterbi): ``evolve`` meets the gate cold; ``surrogate``
-  meets it warm-started from an atlas recorded by a cold grid run
-  (the Bayesian BER posterior makes cold pruning on this landscape
-  pay ~53% of the grid — the atlas replay path is the supported way
-  to get under the bar, and is why the surrogate consumes
-  ``PersistentEvalCache``/atlas records in the first place).
-
-Both strategies are seeded and batch-order deterministic, so serial,
+The strategy is seeded and batch-order deterministic, so serial,
 parallel (``workers=2``), and checkpoint-resumed runs must select the
 same design bit-for-bit.
 """
@@ -22,7 +14,12 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core import BERThresholdCurve, SearchConfig, validate_strategy
+from repro.core import (
+    STRATEGIES,
+    BERThresholdCurve,
+    SearchConfig,
+    validate_strategy,
+)
 from repro.errors import ConfigurationError
 from repro.iir import IIRMetaCore, IIRSpec
 from repro.resilience.session import RoundBudgetExceeded
@@ -64,15 +61,9 @@ def iir_grid():
 
 
 @pytest.fixture(scope="module")
-def viterbi_grid(tmp_path_factory):
-    """Cold Table 3 grid baseline, recorded into a fresh atlas.
-
-    Returns ``(result, atlas_path)`` so the surrogate gate can
-    warm-start from exactly what the grid run learned.
-    """
-    atlas_path = str(tmp_path_factory.mktemp("strategies") / "atlas.jsonl")
-    result = _viterbi_metacore("grid", atlas_path=atlas_path).search()
-    return result, atlas_path
+def viterbi_grid():
+    """Cold Table 3 grid baseline."""
+    return _viterbi_metacore("grid").search()
 
 
 def _assert_gate(result, baseline, *, metric: str) -> None:
@@ -89,12 +80,14 @@ def _assert_gate(result, baseline, *, metric: str) -> None:
 
 class TestStrategyValidation:
     def test_known_strategies_pass(self):
-        for name in ("grid", "evolve", "surrogate"):
+        assert STRATEGIES == ("grid", "evolve")
+        for name in STRATEGIES:
             assert validate_strategy(name) == name
 
     def test_unknown_strategy_rejected(self):
-        with pytest.raises(ConfigurationError):
-            validate_strategy("annealing")
+        for name in ("annealing", "surrogate"):
+            with pytest.raises(ConfigurationError):
+                validate_strategy(name)
 
     def test_search_rejects_unknown_strategy(self):
         with pytest.raises(ConfigurationError):
@@ -114,30 +107,13 @@ class TestIIRTable4Gates:
         assert result.strategy == "evolve"
         _assert_gate(result, iir_grid, metric="area_mm2")
 
-    def test_surrogate_gate(self, iir_grid):
-        result = _iir_metacore("surrogate").search()
-        assert result.strategy == "surrogate"
-        assert result.evals_saved > 0
-        _assert_gate(result, iir_grid, metric="area_mm2")
-
 
 class TestViterbiTable3Gates:
-    """Table 3 scenario: evolve cold, surrogate warm from the atlas."""
+    """Cold differential on the paper's Table 3 scenario."""
 
     def test_evolve_gate(self, viterbi_grid):
-        baseline, _ = viterbi_grid
         result = _viterbi_metacore("evolve").search()
-        _assert_gate(result, baseline, metric="area_mm2")
-
-    def test_surrogate_warm_start_gate(self, viterbi_grid):
-        baseline, atlas_path = viterbi_grid
-        result = _viterbi_metacore(
-            "surrogate", atlas_path=atlas_path
-        ).search()
-        _assert_gate(result, baseline, metric="area_mm2")
-        # Replayed atlas records price the warm walk almost for free.
-        assert result.log.n_evaluations < baseline.log.n_evaluations // 10
-        assert result.best_point == baseline.best_point
+        _assert_gate(result, viterbi_grid, metric="area_mm2")
 
 
 def _same_selection(a, b) -> bool:
@@ -148,7 +124,7 @@ def _same_selection(a, b) -> bool:
     )
 
 
-@pytest.mark.parametrize("strategy", ["evolve", "surrogate"])
+@pytest.mark.parametrize("strategy", ["evolve"])
 class TestDeterminism:
     """serial == parallel == resumed-from-checkpoint, bit-for-bit."""
 
