@@ -137,18 +137,27 @@ def search_config_from_payload(payload: Any) -> SearchConfig:
     """The :class:`SearchConfig` a request's ``config`` field describes.
 
     ``None`` means the defaults.  A non-object payload, an unknown field
-    name or an unknown strategy raises :class:`ConfigurationError`,
-    which the server answers as ``bad_request``.
+    name, a value whose type is not its field default's type (``bool``
+    and ``int`` do not stand in for each other) or an unknown strategy
+    raises :class:`ConfigurationError`, which the server answers as
+    ``bad_request``.
     """
     if payload is None:
         return SearchConfig()
     if not isinstance(payload, dict):
         raise ConfigurationError("search config must be an object")
-    unknown = sorted(set(payload) - {f.name for f in fields(SearchConfig)})
+    types = {f.name: type(f.default) for f in fields(SearchConfig)}
+    unknown = sorted(set(payload) - set(types))
     if unknown:
         raise ConfigurationError(
             f"unknown search config field(s): {', '.join(unknown)}"
         )
+    for name, value in payload.items():
+        if type(value) is not types[name]:
+            raise ConfigurationError(
+                f"search config field {name!r} must be "
+                f"{types[name].__name__}, not {type(value).__name__}"
+            )
     config = SearchConfig(**payload)
     validate_strategy(config.strategy)
     return config

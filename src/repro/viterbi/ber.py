@@ -321,8 +321,13 @@ class BERSimulator:
             registry.counter("ber.decoded_frames").inc(decoded_frames)
             registry.counter("ber.decode_s").inc(decode_s)
             registry.counter("ber.trellis_steps").inc(trellis_steps)
+            # Whether the forward pass, the bulk of a decode, ran compiled
+            # (the first fused decode above builds or loads the library).
+            native = kernel_name == "fused" and decoder.compiled_forward()
             prefix = f"ber.kernel.{kernel_name}"
             registry.counter(prefix + ".frames").inc(decoded_frames)
+            if native:
+                registry.counter(prefix + ".native_frames").inc(decoded_frames)
             registry.counter(prefix + ".steps").inc(trellis_steps)
             registry.counter(prefix + ".decode_s").inc(decode_s)
             frames_per_sec = (
@@ -336,6 +341,7 @@ class BERSimulator:
                 errors=total_errors,
                 early_stop=early_stop,
                 kernel=kernel_name,
+                native=native,
                 decoded_frames=decoded_frames,
                 frames_per_sec=round(frames_per_sec, 3),
             )

@@ -102,6 +102,14 @@ class ViterbiDecoder:
             return "fused"
         return "reference"
 
+    def compiled_forward(self) -> bool:
+        """Whether a fused forward pass runs the compiled ``acs.c`` loop.
+
+        True once a fused decode has loaded the library; never triggers
+        a build.
+        """
+        return kernels.native_loaded()
+
     def _forward(
         self, received: np.ndarray, sigma: Optional[float]
     ) -> Tuple[np.ndarray, np.ndarray]:

@@ -37,23 +37,184 @@ This module removes it without changing a single output bit:
 - **Hoisted buffers.**  Candidate/metric scratch arrays are allocated
   once and rotated, so the step loop performs few allocations beyond
   numpy's internal reductions.
+- **Compiled loops.**  The classic forward pass and the trace-back of
+  both decoders run in C (``acs.c``) when the system C compiler can
+  build it: :func:`native_library` compiles the source on the first
+  fused decode, caches the shared library by source, flags and platform
+  hash under ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``) and
+  loads it with :mod:`ctypes`, which releases the interpreter lock for
+  the call.  With no ``cc``, a failed build, an unwritable cache or any
+  other load failure the numpy loops below run instead; they are the
+  only path on such hosts.
+  The multiresolution forward pass always runs in numpy: its M-set and
+  N-best ranking follow numpy's unstable sort on ties, which a compiled
+  loop could only match by calling numpy back each step.
 
 The kernels are *drop-in equivalent*: for every input they produce the
 same ``(decisions, best)`` arrays, the same ``_final_metrics``, and
-therefore the same decoded bits as the reference loops.  Decoders use
-them only when no fault-injection hook is attached — the hooked path
-keeps the reference loop so resilience semantics stay untouched — and
-only when the metric tables are small enough to precompute
-(``combo_lut()`` returns ``None`` otherwise).
+therefore the same decoded bits as the reference loops, on the compiled
+path and on the numpy path alike.  Decoders use them only when no
+fault-injection hook is attached — the hooked path keeps the reference
+loop so resilience semantics stay untouched — and only when the metric
+tables are small enough to precompute (``combo_lut()`` returns ``None``
+otherwise).
 """
 from __future__ import annotations
 
+import hashlib
+import logging
+import os
+import platform
+import shutil
+import subprocess
+import sys
+import tempfile
+import threading
+from importlib import resources
+from pathlib import Path
 from typing import Optional, Tuple
 
 import numpy as np
 
 #: Kernel names accepted by the decoders, the evaluator, and the CLI.
 DECODE_KERNELS: Tuple[str, ...] = ("fused", "reference")
+
+#: Compiler flags for ``acs.c``.  No ``-ffast-math`` (it may reorder
+#: floating-point operations) and no ``-march=native`` (a cache
+#: directory may be shared across hosts); ``-ffp-contract=off`` keeps
+#: every add a separate, correctly rounded double operation.
+NATIVE_CFLAGS: Tuple[str, ...] = (
+    "-O3", "-shared", "-fPIC", "-ffp-contract=off",
+)
+
+_log = logging.getLogger(__name__)
+
+#: Memo of :func:`native_library`: ``_UNLOADED`` until the first fused
+#: decode asks for it, then the loaded library or ``None`` (numpy).
+#: Module state only, never a decoder attribute: decoders and evaluators
+#: are pickled to pool workers, and a ``ctypes`` handle does not pickle.
+_UNLOADED = object()
+_native = _UNLOADED
+_native_lock = threading.Lock()
+
+
+def _reset_lock_after_fork() -> None:
+    # A fork while another thread builds would leave the child a held lock.
+    global _native_lock
+    _native_lock = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_reset_lock_after_fork)
+
+
+def native_source() -> bytes:
+    """The C source of the compiled loops, read through the package."""
+    return resources.files("repro.viterbi").joinpath("acs.c").read_bytes()
+
+
+def native_cache_dir() -> Path:
+    """Where built libraries are cached: ``$XDG_CACHE_HOME/repro``."""
+    root = os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache"
+    return Path(root) / "repro"
+
+
+def native_library():
+    """The compiled ``acs.c`` loops, or ``None`` to run the numpy loops.
+
+    Built and loaded once per process, on first use; every later call
+    returns the memo.
+    """
+    global _native
+    if _native is _UNLOADED:
+        with _native_lock:
+            if _native is _UNLOADED:
+                _native = _load_native()
+    return _native
+
+
+def native_loaded() -> bool:
+    """Whether the compiled loops are in use (never triggers a build)."""
+    return _native is not None and _native is not _UNLOADED
+
+
+def _load_native():
+    """Load the cached build of ``acs.c``, building it first if needed."""
+    compiler = shutil.which("cc")
+    if compiler is None:
+        _log.info("no C compiler on PATH; decode kernels run in numpy")
+        return None
+    try:
+        source = native_source()
+        key = hashlib.sha256(
+            b"\0".join(
+                [
+                    source,
+                    " ".join(NATIVE_CFLAGS).encode(),
+                    f"{sys.platform}-{platform.machine()}".encode(),
+                    compiler.encode(),
+                ]
+            )
+        ).hexdigest()[:16]
+        path = native_cache_dir() / f"acs-{key}.so"
+        if not path.exists():
+            _build_native(compiler, source, path)
+        return _bind_native(path)
+    except Exception as exc:
+        # Any failure to locate, build or bind the library (no home
+        # directory, compiler error, unwritable cache, a cached file
+        # without the symbols) leaves the numpy loops, which give the
+        # same bits.
+        _log.info("compiled decode loops unavailable (%r); using numpy", exc)
+        return None
+
+
+def _build_native(compiler: str, source: bytes, path: Path) -> None:
+    """Compile into a temporary file beside ``path``, then rename.
+
+    ``os.replace`` is atomic, so processes racing to build the same
+    library each install a complete file and none loads a partial one.
+    """
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, tmp = tempfile.mkstemp(
+        dir=str(path.parent), prefix=path.stem + ".", suffix=".tmp"
+    )
+    os.close(fd)
+    try:
+        subprocess.run(
+            [compiler, *NATIVE_CFLAGS, "-x", "c", "-", "-o", tmp],
+            input=source,
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            check=True,
+            timeout=300,
+        )
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+
+
+def _bind_native(path: Path):
+    # Imported here: a process that never decodes never loads ctypes.
+    import ctypes
+
+    lib = ctypes.CDLL(str(path))
+    i64, ptr = ctypes.c_int64, ctypes.c_void_p
+    lib.acs_forward.argtypes = [i64] * 4 + [ptr] * 9
+    lib.acs_forward.restype = None
+    lib.acs_traceback.argtypes = [i64] * 4 + [ptr] + [i64] * 3 + [ptr] * 3
+    lib.acs_traceback.restype = None
+    return lib
+
+
+def _ptr(array: np.ndarray) -> int:
+    return array.ctypes.data
+
+
+def _within(indices: np.ndarray, bound: int) -> bool:
+    """Whether a non-empty index array lies in ``[0, bound)``."""
+    return indices.size > 0 and 0 <= indices.min() and indices.max() < bound
 
 
 def symbol_indices(levels: np.ndarray, base: int) -> np.ndarray:
@@ -117,17 +278,37 @@ def fused_forward(
 
     Bit-identical to ``ViterbiDecoder._forward_reference`` with no
     fault hook attached; the caller guarantees both that and the
-    availability of the combo lookup table.
+    availability of the combo lookup table.  Runs ``acs_forward`` from
+    :func:`native_library` when it loads, else the numpy loop below.
     """
     n_frames, n_steps, _ = received.shape
     symbols = _step_symbols(decoder.quantizer, received, sigma)
     lutw = _double_width(decoder.metric_table.combo_lut())
     n_states = decoder.trellis.n_states
-    predw = np.ascontiguousarray(decoder.trellis.predecessors.T.reshape(-1))
 
     acc = np.ascontiguousarray(decoder._initial_metrics(n_frames).T)
     decisions = np.empty((n_steps, n_states, n_frames), dtype=np.uint8)
     best = np.empty((n_steps, n_frames), dtype=np.int64)
+    lib = native_library()
+    n_combos = lutw.shape[1]
+    # The C loop indexes tables by these values: check them first (the
+    # numpy loop's np.take raises on a bad one).
+    if lib is not None and _within(symbols, n_combos):
+        symbols = np.ascontiguousarray(symbols, dtype=np.int64)
+        pred = np.ascontiguousarray(decoder.trellis.predecessors, np.int64)
+        scratch = np.empty_like(acc)
+        metrics = np.empty((2 * n_states, n_frames))
+        rowmin = np.empty(n_frames)
+        lib.acs_forward(
+            n_steps, n_states, n_frames, n_combos,
+            _ptr(symbols), _ptr(lutw), _ptr(pred), _ptr(acc),
+            _ptr(scratch), _ptr(metrics), _ptr(rowmin),
+            _ptr(decisions), _ptr(best),
+        )
+        decoder._final_metrics = np.ascontiguousarray(acc.T)
+        return decisions.transpose(0, 2, 1), best
+
+    predw = np.ascontiguousarray(decoder.trellis.predecessors.T.reshape(-1))
     # Survivor table for fused_traceback, built step by step while the
     # decision bits are still cache-hot: survivors[t, f, s] is the
     # predecessor the survivor branch into state s came from.  Stored
@@ -339,12 +520,34 @@ def fused_traceback(
     (``survivors[t, f, s] = predecessors[s, decisions[t, f, s]]``) so
     every level of the sliding walk is a single flat ``np.take`` on
     precomputed offsets, with the offset scratch reused across levels.
+    With :func:`native_library` loaded, ``acs_traceback`` walks the
+    decisions in place instead (no survivor table); trace-back has no
+    tie rule, so this serves both decoders.
     """
     n_steps, n_frames, n_states = decisions.shape
     depth = min(decoder.traceback_depth, n_steps)
     predecessors = decoder.trellis.predecessors
     shift = max(decoder.trellis.constraint_length - 2, 0)
     bits = np.empty((n_frames, n_steps), dtype=np.int8)
+
+    lib = native_library()
+    # The C walk reads states from best and slots from decisions (it
+    # masks each slot to 0/1): check both first.  The forward passes
+    # produce uint8 decisions and in-range best states.
+    if (
+        lib is not None
+        and decisions.dtype == np.uint8
+        and best.shape == (n_steps, n_frames)
+        and _within(best, n_states)
+    ):
+        step, frame, state = decisions.strides  # uint8: bytes == elements
+        best = np.ascontiguousarray(best, dtype=np.int64)
+        pred = np.ascontiguousarray(predecessors, dtype=np.int64)
+        lib.acs_traceback(
+            n_steps, n_frames, depth, shift, _ptr(decisions),
+            step, frame, state, _ptr(best), _ptr(pred), _ptr(bits),
+        )
+        return bits
 
     n_lead = n_steps - depth + 1
     if n_lead > 0:

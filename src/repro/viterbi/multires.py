@@ -146,6 +146,12 @@ class MultiresolutionViterbiDecoder(ViterbiDecoder):
             is not None
         )
 
+    def compiled_forward(self) -> bool:
+        """Never: the M-set and N-best ranking follow numpy's unstable
+        sort on ties, so this forward pass stays in numpy (only the
+        trace-back is compiled)."""
+        return False
+
     def _forward_fused(
         self, received: np.ndarray, sigma: Optional[float]
     ) -> Tuple[np.ndarray, np.ndarray]:

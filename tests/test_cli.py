@@ -135,6 +135,25 @@ class TestKernelAB:
         assert "BER=" in outputs[0]
         assert outputs[0] == outputs[1]
 
+    def test_bench_kernels_quick(self):
+        """``bench_kernels.py --quick``: a classic and a multiresolution
+        cold evaluation give bit-identical metrics on both kernels, and
+        fused is not slower (the script exits non-zero otherwise)."""
+        root = Path(__file__).resolve().parent.parent
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        proc = subprocess.run(
+            [sys.executable, str(root / "benchmarks" / "bench_kernels.py"),
+             "--quick"],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=600,
+        )
+        assert proc.returncode == 0, proc.stdout + proc.stderr
+        for workload in ("classic", "multires"):
+            assert f"{workload}: reference " in proc.stdout
+        assert proc.stdout.count("(bit-identical)") == 2
+
 
 class TestTracing:
     def test_trace_flag_then_report(self, capsys, tmp_path):

@@ -5,9 +5,21 @@ outputs to the reference forward passes — same decisions, same survivor
 selections, same decoded bits, same final metrics.  These tests enforce
 that promise over randomized configurations (hypothesis), through the
 BER simulator's adaptive frame batching, and up through a whole search.
+The differential cases run twice through :func:`acs_loops`: once on the
+compiled ``acs.c`` loops and once with the loader forced to the numpy
+fallback, so both paths stay pinned to the reference.
 """
 
 from __future__ import annotations
+
+import contextlib
+import hashlib
+import os
+import pickle
+import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,6 +27,13 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core import BERThresholdCurve, SearchConfig
 from repro.errors import ConfigurationError
+from repro.observability.export import (
+    format_trace_report,
+    install_tracing,
+    read_trace,
+    shutdown_tracing,
+    summarize_trace,
+)
 from repro.observability.metrics import get_registry
 from repro.resilience.faults import FaultInjector, FaultSpec
 from repro.viterbi import (
@@ -32,8 +51,43 @@ from repro.viterbi import (
     ViterbiSpec,
     standard_pattern,
 )
+from repro.viterbi import kernels
 from repro.viterbi.kernels import symbol_indices
 from repro.viterbi.metrics import MAX_COMBO_LUT_ENTRIES
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+@contextlib.contextmanager
+def numpy_loops():
+    """Force the numpy fallback by setting the loader's memo to None."""
+    saved = kernels._native
+    kernels._native = None
+    try:
+        yield
+    finally:
+        kernels._native = saved
+
+
+@pytest.fixture(scope="session")
+def acs_loops():
+    """Run a case on the compiled loops (when they load), then on numpy.
+
+    Session-scoped and stateless between calls, so hypothesis tests can
+    use it; returns the loops each case ran on.
+    """
+
+    def run(case):
+        ran = []
+        if kernels.native_library() is not None:
+            case()
+            ran.append("native")
+        with numpy_loops():
+            case()
+            ran.append("numpy")
+        return ran
+
+    return run
 
 
 def _received(rng, n_frames, n_steps, n_symbols, erasure_rate=0.0):
@@ -150,7 +204,7 @@ class TestFusedSingleResolution:
     @pytest.mark.parametrize(
         "quantizer", [HardQuantizer(), AdaptiveQuantizer(2), FixedQuantizer(3, 1.5)]
     )
-    def test_bit_identical(self, k, quantizer):
+    def test_bit_identical(self, k, quantizer, acs_loops):
         trellis = Trellis.from_encoder(ConvolutionalEncoder(k))
         fused, reference = _pair(
             ViterbiDecoder, trellis, quantizer, 5 * k
@@ -158,7 +212,19 @@ class TestFusedSingleResolution:
         assert fused.active_kernel() == "fused"
         rng = np.random.default_rng(100 + k)
         received = _received(rng, 6, 96, trellis.n_symbols, erasure_rate=0.15)
-        _assert_identical_decode(fused, reference, received, sigma=0.8)
+
+        def case():
+            dec_f, best_f = fused._forward(received, 0.8)
+            dec_r, best_r = reference._forward(received, 0.8)
+            assert np.array_equal(dec_f, dec_r)
+            assert np.array_equal(best_f, best_r)
+            assert (
+                fused._final_metrics.tobytes()
+                == reference._final_metrics.tobytes()
+            )
+            _assert_identical_decode(fused, reference, received, sigma=0.8)
+
+        acs_loops(case)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -171,7 +237,7 @@ class TestFusedSingleResolution:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_differential_random_configs(
-        self, k, bits, depth, n_frames, n_steps, erasures, seed
+        self, k, bits, depth, n_frames, n_steps, erasures, seed, acs_loops
     ):
         trellis = Trellis.from_encoder(ConvolutionalEncoder(k))
         fused, reference = _pair(
@@ -179,18 +245,26 @@ class TestFusedSingleResolution:
         )
         rng = np.random.default_rng(seed)
         received = _received(rng, n_frames, n_steps, trellis.n_symbols, erasures)
-        _assert_identical_decode(fused, reference, received, sigma=0.9)
+        acs_loops(
+            lambda: _assert_identical_decode(
+                fused, reference, received, sigma=0.9
+            )
+        )
 
-    def test_tie_break_prefers_slot_zero(self, trellis_k3):
+    def test_tie_break_prefers_slot_zero(self, trellis_k3, acs_loops):
         """Equal candidate metrics must select predecessor slot 0."""
         fused, reference = _pair(ViterbiDecoder, trellis_k3, HardQuantizer(), 8)
         # All-zero received levels make every branch metric symmetric,
         # a tie factory for the compare-select.
         received = np.zeros((1, 24, trellis_k3.n_symbols))
-        dec_f, best_f = fused._forward(received, None)
-        dec_r, best_r = reference._forward(received, None)
-        assert np.array_equal(dec_f, dec_r)
-        assert np.array_equal(best_f, best_r)
+
+        def case():
+            dec_f, best_f = fused._forward(received, None)
+            dec_r, best_r = reference._forward(received, None)
+            assert np.array_equal(dec_f, dec_r)
+            assert np.array_equal(best_f, best_r)
+
+        acs_loops(case)
 
 
 class TestFusedMultiresolution:
@@ -208,7 +282,7 @@ class TestFusedMultiresolution:
     )
     def test_differential_random_configs(
         self, k, low_bits, extra_bits, paths, method, n_frames, n_steps,
-        erasures, seed,
+        erasures, seed, acs_loops,
     ):
         trellis = Trellis.from_encoder(ConvolutionalEncoder(k))
         m = {"one": 1, "half": max(1, trellis.n_states // 2),
@@ -226,9 +300,13 @@ class TestFusedMultiresolution:
         assert fused.active_kernel() == "fused"
         rng = np.random.default_rng(seed)
         received = _received(rng, n_frames, n_steps, trellis.n_symbols, erasures)
-        _assert_identical_decode(fused, reference, received, sigma=0.9)
+        acs_loops(
+            lambda: _assert_identical_decode(
+                fused, reference, received, sigma=0.9
+            )
+        )
 
-    def test_normalization_count_above_one(self, trellis_k5):
+    def test_normalization_count_above_one(self, trellis_k5, acs_loops):
         fused, reference = _pair(
             MultiresolutionViterbiDecoder,
             trellis_k5,
@@ -241,7 +319,11 @@ class TestFusedMultiresolution:
         )
         rng = np.random.default_rng(21)
         received = _received(rng, 4, 80, trellis_k5.n_symbols, 0.1)
-        _assert_identical_decode(fused, reference, received, sigma=0.7)
+        acs_loops(
+            lambda: _assert_identical_decode(
+                fused, reference, received, sigma=0.7
+            )
+        )
 
 
 #: Deterministic multiresolution cases: (K, M, N, normalization, frames,
@@ -273,7 +355,8 @@ class TestFusedMultiresolutionShapes:
         ],
     )
     def test_bit_identical(
-        self, k, m, n, method, n_frames, n_steps, low_bits, erasures
+        self, k, m, n, method, n_frames, n_steps, low_bits, erasures,
+        acs_loops,
     ):
         trellis = Trellis.from_encoder(ConvolutionalEncoder(k))
         fused, reference = _pair(
@@ -291,12 +374,18 @@ class TestFusedMultiresolutionShapes:
         received = _received(
             rng, n_frames, n_steps, trellis.n_symbols, erasures
         )
-        dec_f, best_f = fused._forward(received, 0.8)
-        dec_r, best_r = reference._forward(received, 0.8)
-        assert np.array_equal(dec_f, dec_r)
-        assert np.array_equal(best_f, best_r)
-        assert np.array_equal(fused._final_metrics, reference._final_metrics)
-        _assert_identical_decode(fused, reference, received, sigma=0.8)
+
+        def case():
+            dec_f, best_f = fused._forward(received, 0.8)
+            dec_r, best_r = reference._forward(received, 0.8)
+            assert np.array_equal(dec_f, dec_r)
+            assert np.array_equal(best_f, best_r)
+            assert np.array_equal(
+                fused._final_metrics, reference._final_metrics
+            )
+            _assert_identical_decode(fused, reference, received, sigma=0.8)
+
+        acs_loops(case)
 
 
 class TestEmptyBatches:
@@ -309,20 +398,32 @@ class TestEmptyBatches:
         )
 
     @pytest.mark.parametrize("kernel", DECODE_KERNELS)
-    def test_zero_frames_decode_to_empty(self, decoder_cls_args, kernel):
+    def test_zero_frames_decode_to_empty(
+        self, decoder_cls_args, kernel, acs_loops
+    ):
         decoder_cls, args = decoder_cls_args
         decoder = decoder_cls(*args, kernel=kernel)
-        bits = decoder.decode(np.zeros((0, 12, 2)), sigma=0.5)
-        assert bits.shape == (0, 12)
-        assert bits.dtype == np.int8
+
+        def case():
+            bits = decoder.decode(np.zeros((0, 12, 2)), sigma=0.5)
+            assert bits.shape == (0, 12)
+            assert bits.dtype == np.int8
+
+        acs_loops(case)
 
     @pytest.mark.parametrize("kernel", DECODE_KERNELS)
     @pytest.mark.parametrize("shape", [(3, 0, 2), (0, 2)])
-    def test_zero_steps_rejected(self, decoder_cls_args, kernel, shape):
+    def test_zero_steps_rejected(
+        self, decoder_cls_args, kernel, shape, acs_loops
+    ):
         decoder_cls, args = decoder_cls_args
         decoder = decoder_cls(*args, kernel=kernel)
-        with pytest.raises(ConfigurationError):
-            decoder.decode(np.zeros(shape), sigma=0.5)
+
+        def case():
+            with pytest.raises(ConfigurationError):
+                decoder.decode(np.zeros(shape), sigma=0.5)
+
+        acs_loops(case)
 
 
 class TestKernelDispatch:
@@ -459,38 +560,87 @@ class TestAdaptiveBatching:
         b = fixed.measure(decoder, 4.0, max_bits=8_000, target_errors=None)
         assert (a.bits, a.errors) == (b.bits, b.errors)
 
-    def test_throughput_metrics_recorded(self, encoder_k3, trellis_k3):
+    def test_throughput_metrics_recorded(
+        self, encoder_k3, trellis_k3, tmp_path, acs_loops
+    ):
+        """Counters, the ``ber.measure`` span and trace-report's kernel
+        line also say whether the forward pass ran compiled: for the
+        classic decoder when the library loaded, for the multiresolution
+        decoder (numpy forward, compiled trace-back only) never."""
         registry = get_registry()
-        registry.reset()
-        decoder = ViterbiDecoder(trellis_k3, HardQuantizer(), 15)
         sim = BERSimulator(encoder_k3, frame_length=128, frames_per_batch=8)
-        sim.measure(decoder, 4.0, max_bits=8_000, target_errors=None)
-        snapshot = registry.snapshot()
-        assert snapshot["ber.decoded_frames"]["value"] > 0
-        assert "ber.frames_per_sec" in snapshot
-        kernel = decoder.active_kernel()
-        assert snapshot[f"ber.kernel.{kernel}.frames"]["value"] > 0
+        decoders = [
+            ViterbiDecoder(trellis_k3, HardQuantizer(), 15),
+            MultiresolutionViterbiDecoder(
+                trellis_k3, AdaptiveQuantizer(1), AdaptiveQuantizer(3), 15, 2
+            ),
+        ]
+        paths = iter(tmp_path / f"trace{i}.jsonl" for i in range(4))
+
+        def measure(decoder, compiled):
+            kernel = decoder.active_kernel()
+            registry.reset()
+            path = next(paths)
+            sink = install_tracing(path)
+            try:
+                sim.measure(decoder, 4.0, max_bits=8_000, target_errors=None)
+            finally:
+                shutdown_tracing(sink, registry)
+            snapshot = registry.snapshot()
+            assert snapshot["ber.decoded_frames"]["value"] > 0
+            assert "ber.frames_per_sec" in snapshot
+            frames = int(snapshot[f"ber.kernel.{kernel}.frames"]["value"])
+            assert frames > 0
+            counter = f"ber.kernel.{kernel}.native_frames"
+            assert snapshot.get(counter, {}).get("value", 0) == (
+                frames if compiled else 0
+            )
+            (span,) = [
+                r for r in read_trace(path)
+                if r.get("type") == "span" and r["name"] == "ber.measure"
+            ]
+            assert span["attrs"]["native"] is compiled
+            report = format_trace_report(summarize_trace(path))
+            assert (
+                f"kernel: {kernel} — {frames} frames decoded in " in report
+            )
+            native = frames if compiled else 0
+            assert f"{native} with the compiled forward pass" in report
+
+        def case():
+            classic, multires = decoders
+            measure(classic, kernels.native_loaded())
+            assert classic.compiled_forward() is kernels.native_loaded()
+            measure(multires, False)
+
+        ran = acs_loops(case)
+        assert ran[-1] == "numpy"
         registry.reset()
 
 
 class TestSearchParity:
-    def test_search_results_identical_across_kernels(self):
+    def test_search_results_identical_across_kernels(self, acs_loops):
         spec = ViterbiSpec(
             throughput_bps=1e6,
             ber_curve=BERThresholdCurve.single(4.0, 2e-2),
         )
         config = SearchConfig(max_resolution=1, refine_top_k=2)
-        results = {}
-        for kernel in DECODE_KERNELS:
-            metacore = ViterbiMetaCore(
+
+        def search(kernel):
+            return ViterbiMetaCore(
                 spec, fixed={"G": "standard", "N": 1},
                 config=config, kernel=kernel,
-            )
-            results[kernel] = metacore.search()
-        fused, reference = results["fused"], results["reference"]
-        assert fused.feasible == reference.feasible
-        assert fused.best_point == reference.best_point
-        assert fused.best_metrics == reference.best_metrics
+            ).search()
+
+        reference = search("reference")
+
+        def case():
+            fused = search("fused")
+            assert fused.feasible == reference.feasible
+            assert fused.best_point == reference.best_point
+            assert fused.best_metrics == reference.best_metrics
+
+        acs_loops(case)
 
     def test_kernel_not_in_fingerprint(self):
         from repro.viterbi import ViterbiMetacoreEvaluator
@@ -502,3 +652,188 @@ class TestSearchParity:
         fused = ViterbiMetacoreEvaluator(spec, kernel="fused")
         reference = ViterbiMetacoreEvaluator(spec, kernel="reference")
         assert fused.fingerprint() == reference.fingerprint()
+
+
+def _decode_case():
+    """A K=5 soft-decision pair and a batch with erasures."""
+    trellis = Trellis.from_encoder(ConvolutionalEncoder(5))
+    fused, reference = _pair(ViterbiDecoder, trellis, AdaptiveQuantizer(3), 25)
+    rng = np.random.default_rng(77)
+    received = _received(rng, 8, 120, trellis.n_symbols, erasure_rate=0.1)
+    return fused, reference, received
+
+
+RACE_SCRIPT = """
+import hashlib
+import numpy as np
+from repro.viterbi import (
+    AdaptiveQuantizer, ConvolutionalEncoder, Trellis, ViterbiDecoder, kernels,
+)
+lib = kernels.native_library()
+trellis = Trellis.from_encoder(ConvolutionalEncoder(5))
+decoder = ViterbiDecoder(trellis, AdaptiveQuantizer(3), 25)
+received = np.random.default_rng(5).normal(0.0, 1.0, (8, 120, 2))
+bits = decoder.decode(received, sigma=0.8)
+print(lib is not None, hashlib.sha256(bits.tobytes()).hexdigest())
+"""
+
+
+class TestNativeLoader:
+    """Building, caching and falling back; every fallback still decodes
+    bit-identically, on the numpy loop, and raises nothing."""
+
+    @pytest.fixture
+    def fresh_loader(self, monkeypatch, tmp_path):
+        """An unloaded memo and an empty cache directory for one test."""
+        monkeypatch.setattr(kernels, "_native", kernels._UNLOADED)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        return tmp_path / "cache" / "repro"
+
+    def _assert_numpy_fallback(self):
+        assert kernels.native_library() is None
+        assert not kernels.native_loaded()
+        fused, reference, received = _decode_case()
+        _assert_identical_decode(fused, reference, received, sigma=0.8)
+
+    def test_no_compiler_on_path(self, fresh_loader, monkeypatch, tmp_path):
+        empty = tmp_path / "empty"
+        empty.mkdir()
+        monkeypatch.setenv("PATH", str(empty))
+        self._assert_numpy_fallback()
+        assert not fresh_loader.exists()
+
+    def test_failing_compiler(self, fresh_loader, monkeypatch, tmp_path):
+        bin_dir = tmp_path / "bin"
+        bin_dir.mkdir()
+        cc = bin_dir / "cc"
+        cc.write_text("#!/bin/sh\necho 'cc: broken' >&2\nexit 1\n")
+        cc.chmod(0o755)
+        monkeypatch.setenv("PATH", str(bin_dir))
+        self._assert_numpy_fallback()
+        # The failed build leaves no temporary file behind.
+        assert list(fresh_loader.iterdir()) == []
+
+    def test_read_only_cache_directory(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(kernels, "_native", kernels._UNLOADED)
+        cache = tmp_path / "ro"
+        cache.mkdir()
+        cache.chmod(0o555)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        try:
+            if os.access(cache, os.W_OK):
+                # Permission bits do not bind this user (root): the build
+                # may succeed, and the decode must still be identical.
+                fused, reference, received = _decode_case()
+                _assert_identical_decode(fused, reference, received, 0.8)
+            else:
+                self._assert_numpy_fallback()
+        finally:
+            cache.chmod(0o755)
+
+    def test_cache_path_not_a_directory(self, monkeypatch, tmp_path):
+        monkeypatch.setattr(kernels, "_native", kernels._UNLOADED)
+        blocker = tmp_path / "file"
+        blocker.write_text("not a directory")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
+        self._assert_numpy_fallback()
+
+    def test_no_home_directory(self, monkeypatch):
+        """No HOME, no XDG_CACHE_HOME and no passwd entry: ``Path.home``
+        raises ``RuntimeError``, and the decode still runs on numpy."""
+        monkeypatch.setattr(kernels, "_native", kernels._UNLOADED)
+        monkeypatch.delenv("HOME", raising=False)
+        monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
+
+        def no_home(cls):
+            raise RuntimeError("Could not determine home directory.")
+
+        monkeypatch.setattr(Path, "home", classmethod(no_home))
+        self._assert_numpy_fallback()
+
+    def test_library_without_the_symbols(self, fresh_loader, monkeypatch):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        unrelated = b"int unrelated(void) { return 0; }\n"
+        monkeypatch.setattr(kernels, "native_source", lambda: unrelated)
+        self._assert_numpy_fallback()
+
+    def test_portable_loop_without_sse2(self, fresh_loader, monkeypatch):
+        """The scalar loop that hosts without SSE2 run, over whole
+        batches (on x86-64 it otherwise only takes odd-frame tails)."""
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        monkeypatch.setattr(
+            kernels, "NATIVE_CFLAGS", kernels.NATIVE_CFLAGS + ("-U__SSE2__",)
+        )
+        assert kernels.native_library() is not None
+        fused, reference, received = _decode_case()
+        dec_f, best_f = fused._forward(received, 0.8)
+        dec_r, best_r = reference._forward(received, 0.8)
+        assert np.array_equal(dec_f, dec_r)
+        assert np.array_equal(best_f, best_r)
+        assert (
+            fused._final_metrics.tobytes()
+            == reference._final_metrics.tobytes()
+        )
+        _assert_identical_decode(fused, reference, received, sigma=0.8)
+
+    def test_concurrent_builds_share_one_library(self, tmp_path):
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        env = dict(
+            os.environ,
+            XDG_CACHE_HOME=str(tmp_path),
+            PYTHONPATH=os.pathsep.join(
+                filter(None, [str(SRC), os.environ.get("PYTHONPATH")])
+            ),
+        )
+        procs = [
+            subprocess.Popen(
+                [sys.executable, "-c", RACE_SCRIPT],
+                env=env,
+                stdout=subprocess.PIPE,
+                stderr=subprocess.PIPE,
+                text=True,
+            )
+            for _ in range(2)
+        ]
+        outputs = []
+        for proc in procs:
+            out, err = proc.communicate(timeout=300)
+            assert proc.returncode == 0, err
+            outputs.append(out.split())
+        assert outputs[0] == outputs[1]
+        assert outputs[0][0] == "True"
+        # The numpy loop decodes the same bits in this process.
+        trellis = Trellis.from_encoder(ConvolutionalEncoder(5))
+        decoder = ViterbiDecoder(trellis, AdaptiveQuantizer(3), 25)
+        received = np.random.default_rng(5).normal(0.0, 1.0, (8, 120, 2))
+        with numpy_loops():
+            bits = decoder.decode(received, sigma=0.8)
+        assert outputs[0][1] == hashlib.sha256(bits.tobytes()).hexdigest()
+        built = sorted(p.name for p in (tmp_path / "repro").iterdir())
+        assert len(built) == 1 and built[0].endswith(".so"), built
+
+    def test_compiler_on_path_means_native_loop(self):
+        """Fails, not skips: CI with a compiler must not run numpy."""
+        if shutil.which("cc") is not None:
+            assert kernels.native_library() is not None
+            assert kernels.native_loaded()
+
+    def test_source_ships_with_the_package(self):
+        source = kernels.native_source()
+        on_disk = (SRC / "repro" / "viterbi" / "acs.c").read_bytes()
+        assert source == on_disk
+        assert b"acs_forward" in source and b"acs_traceback" in source
+        pyproject = (SRC.parent / "pyproject.toml").read_text()
+        assert "[tool.setuptools.package-data]" in pyproject
+        assert '"repro.viterbi" = ["acs.c"]' in pyproject
+
+    def test_decoder_pickles_after_native_decode(self):
+        fused, reference, received = _decode_case()
+        fused.decode(received, sigma=0.8)
+        clone = pickle.loads(pickle.dumps(fused))
+        assert np.array_equal(
+            clone.decode(received, sigma=0.8),
+            reference.decode(received, sigma=0.8),
+        )

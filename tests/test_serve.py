@@ -452,8 +452,14 @@ class TestProtocolAndStatus:
             {"max_resolution": 0, "surrogate_keep": 0.5},
             {"max_resolution": 0, "strategy": "surrogate"},
             [["max_resolution", 0]],
+            {"max_resolution": "x"},
+            {"refine_top_k": 1.5},
+            {"confirm_best": "yes"},
         ],
-        ids=["unknown-field", "unknown-strategy", "not-an-object"],
+        ids=[
+            "unknown-field", "unknown-strategy", "not-an-object",
+            "str-for-int", "float-for-int", "str-for-bool",
+        ],
     )
     @pytest.mark.parametrize("op", ["search", "recommend"])
     def test_malformed_search_config_is_bad_request(
@@ -479,6 +485,27 @@ class TestProtocolAndStatus:
         # Rejected before any search work was admitted.
         assert status["searches"] == 0 and status["recommends"] == 0
         assert status["requests"] == 0
+
+    @pytest.mark.parametrize(
+        "config",
+        [{"max_resolution": True}, {"confirm_best": 1}, {"strategy": 0}],
+        ids=["bool-for-int", "int-for-bool", "int-for-str"],
+    )
+    def test_search_config_types_are_exact(self, config):
+        from repro.serve.protocol import search_config_from_payload
+
+        with pytest.raises(ConfigurationError):
+            search_config_from_payload(config)
+
+    def test_search_config_well_typed_fields_pass(self):
+        from repro.serve.protocol import search_config_from_payload
+
+        config = search_config_from_payload(
+            {"max_resolution": 1, "confirm_best": False, "strategy": "evolve"}
+        )
+        assert config == SearchConfig(
+            max_resolution=1, confirm_best=False, strategy="evolve"
+        )
 
     def test_unknown_op_and_garbage_line(self):
         with started_handle() as handle:
