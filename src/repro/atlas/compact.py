@@ -10,17 +10,14 @@ trimmed further to just each scenario's Pareto frontier
 (``--frontier-only``, which drops exact-scenario replay history but
 keeps everything ``recommend`` and warm-starting use).
 
-The rewrite is atomic (tmp file + ``os.replace``) and holds the same
-exclusive advisory lock writers use, so a live cluster loses nothing:
-a replica appending concurrently blocks until the swap is done, then
-detects the new inode and re-merges before writing (see
-``DesignAtlas._open_locked``).
+The rewrite is atomic and holds the same exclusive advisory lock
+writers use, so a live cluster loses nothing: a replica appending
+concurrently blocks until the swap is done, then finds the new inode
+and re-merges before writing (see :mod:`repro.core.jsonlog`).
 """
 
 from __future__ import annotations
 
-import json
-import os
 from pathlib import Path
 from typing import Any, Dict, Union
 
@@ -37,42 +34,7 @@ def compact_atlas(
         raise ConfigurationError(f"no atlas file at {path}")
     bytes_before = path.stat().st_size
     atlas = DesignAtlas(path)
-    stats_before = atlas.stats()
-
-    tmp = Path(str(path) + ".compact.tmp")
-    # Exclusive lock on the *current* file for the whole dump+swap, so
-    # concurrent writers serialize against the compaction instead of
-    # appending to a file about to be discarded.  The tail is merged on
-    # the locked handle itself (a refreshing query here would request a
-    # shared lock against our own exclusive one and self-deadlock).
-    handle = atlas._open_locked("a+b", exclusive=True)
-    try:
-        with atlas._lock:
-            stat = os.fstat(handle.fileno())
-            if (
-                stat.st_ino != atlas._read_ino
-                or stat.st_size < atlas._read_offset
-            ):
-                atlas._read_offset = 0
-                atlas._line_no = 0
-                atlas._read_ino = stat.st_ino
-                atlas.n_record_lines = 0
-            atlas._consume(handle)
-        records_before = atlas.n_record_lines
-        entries = atlas.dump_entries(
-            frontier_only=frontier_only, refresh=False
-        )
-        with tmp.open("w", encoding="utf-8") as out:
-            for entry in entries:
-                out.write(json.dumps(entry, separators=(",", ":")) + "\n")
-            out.flush()
-            os.fsync(out.fileno())
-        os.replace(tmp, path)
-    finally:
-        DesignAtlas._unlock_file(handle)
-        handle.close()
-        if tmp.exists():
-            tmp.unlink()
+    records_before = atlas.compact(frontier_only)
 
     # Reload the rewritten file so the index sidecar matches what is
     # actually on disk (frontier_only drops records the old in-memory
@@ -88,7 +50,7 @@ def compact_atlas(
         "records_before": records_before,
         "records_after": stats_after["records"],
         "frontier": stats_after["frontier"],
-        "corrupt_dropped": stats_before["skipped"],
+        "corrupt_dropped": atlas.n_skipped,
         "bytes_before": bytes_before,
         "bytes_after": bytes_after,
         "bytes_reclaimed": bytes_before - bytes_after,

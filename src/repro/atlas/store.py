@@ -10,42 +10,32 @@ stored neighbors without ever reconstructing the original spec.
 
 The on-disk format is append-only JSONL (one ``scenario`` descriptor
 line per fingerprint, one ``record`` line per priced point, eagerly
-flushed) with an atomic JSON index sidecar (``<path>.index.json``,
-written via tmp-file + ``os.replace``) summarizing per-scenario counts
-for cheap inspection; the JSONL file remains the source of truth.
-Corrupt lines are skipped and counted (``n_skipped``) with a single
-warning per load, mirroring the evaluation cache.
+flushed) with an atomic JSON index sidecar (``<path>.index.json``)
+summarizing per-scenario counts for cheap inspection; the JSONL file
+remains the source of truth.
 
 **Shared across processes.**  A cluster's replicas point at one atlas
-file, so the store is multi-writer safe: every append takes an
-exclusive advisory lock (``flock``; no-op where unavailable) for the
-open-merge-write-close cycle, and every read first merges the *tail* —
-lines other writers appended since this process last looked — tracked
-by byte offset.  Appends are therefore serialized whole lines; readers
-take a shared lock and never observe a torn record.  Merging is
+file, so every query first merges the lines other writers appended
+since this process last looked, and every ingest appends whole lines
+under an exclusive lock.  How the file is locked, read from a byte
+offset, re-read after a rewrite (``atlas-compact``), and how corrupt
+lines and torn tails are handled is :mod:`repro.core.jsonlog`, the
+same contract as the persistent evaluation cache.  Merging is
 idempotent (max-fidelity-wins dedup, first scenario descriptor wins),
-so two nodes ingesting the same search converge to one state.  A file
-*rewrite* (``atlas-compact``) is detected by inode/size change and
-triggers a from-scratch re-merge rather than a misaligned tail read.
+so two nodes ingesting the same search converge to one state.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import threading
-import warnings
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
-
-try:  # advisory locking is POSIX-only; elsewhere appends are best-effort
-    import fcntl
-except ImportError:  # pragma: no cover - non-POSIX platforms
-    fcntl = None  # type: ignore[assignment]
 
 from repro.atlas.frontier import ParetoFrontier, frontier_objectives
 from repro.atlas.similarity import goal_signature, scenario_distance
 from repro.core.evaluation import EvaluationRecord
+from repro.core.jsonlog import JsonLog, atomic_write
 from repro.core.objectives import DesignGoal, Direction, Objective
 
 PointKey = Tuple[Tuple[str, Any], ...]
@@ -97,140 +87,43 @@ class DesignAtlas:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._scenarios: Dict[str, _Scenario] = {}
-        self.n_loaded = 0
-        #: Raw record lines consumed from the log, including entries a
-        #: later higher-fidelity append superseded — the on-disk count
-        #: compaction reports against the deduped in-memory view.
+        #: Raw record lines read from the current file, including
+        #: entries a later higher-fidelity append superseded — the
+        #: on-disk count compaction reports against the deduped view.
         self.n_record_lines = 0
-        #: Corrupt (undecodable / malformed) lines skipped at load time.
-        #: Schema-version mismatches are *not* corruption and stay silent.
-        self.n_skipped = 0
-        self._warned = False
-        #: How far into the JSONL file this process has merged (bytes),
-        #: plus the inode it belongs to — a changed inode or a shrunken
-        #: file means the atlas was rewritten underneath us.
-        self._read_offset = 0
-        self._read_ino: Optional[int] = None
-        self._line_no = 0
-        with self._lock:
-            self._refresh_locked()
+        self._log = JsonLog(
+            self.path,
+            "design atlas",
+            ATLAS_SCHEMA_VERSION,
+            self._load_entry,
+            on_rewrite=self._reset_line_count,
+        )
+        self.refresh()
 
-    # -- file locking ----------------------------------------------------
-
-    @staticmethod
-    def _lock_file(handle, exclusive: bool) -> None:
-        if fcntl is not None:
-            fcntl.flock(
-                handle.fileno(),
-                fcntl.LOCK_EX if exclusive else fcntl.LOCK_SH,
-            )
-
-    @staticmethod
-    def _unlock_file(handle) -> None:
-        if fcntl is not None:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_UN)
-
-    def _open_locked(self, mode: str, exclusive: bool):
-        """Open + lock the atlas file, retrying across rewrites.
-
-        A compaction replaces the file while a writer waits on the
-        lock; appending to the now-orphaned inode would lose records,
-        so after acquiring the lock we verify the fd still names the
-        path and reopen if not.
-        """
-        while True:
-            handle = self.path.open(mode)
-            try:
-                self._lock_file(handle, exclusive)
-                try:
-                    if (
-                        os.fstat(handle.fileno()).st_ino
-                        == os.stat(self.path).st_ino
-                    ):
-                        return handle
-                except OSError:
-                    pass  # path vanished mid-swap; reopen recreates it
-                self._unlock_file(handle)
-            except BaseException:
-                handle.close()
-                raise
-            handle.close()
+    @property
+    def n_skipped(self) -> int:
+        """Corrupt lines skipped; schema-version mismatches are not counted."""
+        return self._log.n_skipped
 
     # -- loading ---------------------------------------------------------
-
-    def _refresh_locked(self) -> int:
-        """Merge lines appended (by anyone) since the last read.
-
-        Returns the number of lines consumed.  Caller holds ``_lock``.
-        """
-        try:
-            handle = self._open_locked("rb", exclusive=False)
-        except FileNotFoundError:
-            return 0
-        try:
-            stat = os.fstat(handle.fileno())
-            if stat.st_ino != self._read_ino or stat.st_size < self._read_offset:
-                # Rewritten (compacted) underneath us: re-merge it all.
-                # Idempotent, so existing in-memory state is kept.
-                self._read_offset = 0
-                self._line_no = 0
-                self._read_ino = stat.st_ino
-                self.n_record_lines = 0
-            if stat.st_size <= self._read_offset:
-                return 0
-            return self._consume(handle)
-        finally:
-            self._unlock_file(handle)
-            handle.close()
-
-    def _consume(self, handle) -> int:
-        """Parse lines from ``_read_offset`` to EOF; advance the offset.
-
-        A final line without a newline is a torn concurrent append (or
-        a crashed writer's remnant): it is left unconsumed so the next
-        refresh re-reads it once complete.
-        """
-        handle.seek(self._read_offset)
-        consumed = 0
-        for raw in handle:
-            if not raw.endswith(b"\n"):
-                break  # torn tail; re-read once whole
-            self._read_offset += len(raw)
-            self._line_no += 1
-            consumed += 1
-            line = raw.decode("utf-8", errors="replace").strip()
-            if not line:
-                continue
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                self._skip(self._line_no, "undecodable JSON")
-                continue
-            if not isinstance(entry, dict):
-                self._skip(self._line_no, "not a JSON object")
-                continue
-            if entry.get("schema") != ATLAS_SCHEMA_VERSION:
-                continue  # orphaned by a schema bump, by design
-            kind = entry.get("type")
-            try:
-                if kind == "scenario":
-                    self._load_scenario(entry)
-                elif kind == "record":
-                    self._load_record(entry)
-                    self.n_record_lines += 1
-                else:
-                    self._skip(self._line_no, f"unknown line type {kind!r}")
-            except (KeyError, TypeError, ValueError):
-                self._skip(self._line_no, "malformed record")
-        self.n_loaded = sum(
-            len(scenario.records) for scenario in self._scenarios.values()
-        )
-        return consumed
 
     def refresh(self) -> int:
         """Pull in other writers' appends; returns lines merged."""
         with self._lock:
-            return self._refresh_locked()
+            return self._log.refresh()
+
+    def _reset_line_count(self) -> None:
+        self.n_record_lines = 0
+
+    def _load_entry(self, entry: Mapping[str, Any]) -> None:
+        kind = entry.get("type")
+        if kind == "scenario":
+            self._load_scenario(entry)
+        elif kind == "record":
+            self._load_record(entry)
+            self.n_record_lines += 1
+        else:
+            raise ValueError(f"unknown line type {kind!r}")
 
     def _load_scenario(self, entry: Mapping[str, Any]) -> None:
         fingerprint = str(entry["fp"])
@@ -268,59 +161,40 @@ class DesignAtlas:
         metrics = {str(k): float(v) for k, v in entry["metrics"].items()}
         scenario.offer(key, fidelity, metrics, bool(entry["exact"]))
 
-    def _skip(self, line_no: int, reason: str) -> None:
-        self.n_skipped += 1
-        if self._warned:
-            return
-        self._warned = True
-        warnings.warn(
-            f"design atlas {self.path}: skipping corrupt line {line_no} "
-            f"({reason}); further corrupt lines counted silently",
-            RuntimeWarning,
-            stacklevel=4,
-        )
-
     # -- writing ---------------------------------------------------------
 
-    def _append_entries(self, entries: List[Dict[str, Any]]) -> None:
-        """Append whole lines under an exclusive advisory lock.
+    @staticmethod
+    def _scenario_entry(fingerprint: str, scenario: _Scenario) -> Dict[str, Any]:
+        return {
+            "schema": ATLAS_SCHEMA_VERSION,
+            "type": "scenario",
+            "fp": fingerprint,
+            "kind": scenario.kind,
+            "features": scenario.features,
+            "goal": scenario.signature,
+            "axes": [
+                [objective.metric, objective.direction.value]
+                for objective in scenario.axes
+            ],
+        }
 
-        Merges the foreign tail first so this process's view includes
-        everything already on disk, then writes and advances the read
-        offset past its own lines (they are already in memory).
-        Caller holds ``_lock``.
-        """
-        if not entries:
-            return
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        handle = self._open_locked("a+b", exclusive=True)
-        try:
-            stat = os.fstat(handle.fileno())
-            if (
-                stat.st_ino != self._read_ino
-                or stat.st_size < self._read_offset
-            ):
-                self._read_offset = 0
-                self._line_no = 0
-                self._read_ino = stat.st_ino
-                self.n_record_lines = 0
-            self._consume(handle)
-            handle.seek(0, os.SEEK_END)
-            payload = b"".join(
-                json.dumps(entry, separators=(",", ":")).encode("utf-8")
-                + b"\n"
-                for entry in entries
-            )
-            handle.write(payload)
-            handle.flush()
-            self._read_offset = handle.tell()
-            self._line_no += len(entries)
-        finally:
-            self._unlock_file(handle)
-            handle.close()
-
-    def _append(self, entry: Dict[str, Any]) -> None:
-        self._append_entries([entry])
+    @staticmethod
+    def _record_entry(
+        fingerprint: str,
+        key: PointKey,
+        fidelity: int,
+        metrics: Dict[str, float],
+        exact: bool,
+    ) -> Dict[str, Any]:
+        return {
+            "schema": ATLAS_SCHEMA_VERSION,
+            "type": "record",
+            "fp": fingerprint,
+            "point": [[k, v] for k, v in key],
+            "fid": fidelity,
+            "metrics": metrics,
+            "exact": exact,
+        }
 
     def register_scenario(
         self,
@@ -347,20 +221,7 @@ class DesignAtlas:
                 axes=axes,
             )
             self._scenarios[fingerprint] = scenario
-            self._append(
-                {
-                    "schema": ATLAS_SCHEMA_VERSION,
-                    "type": "scenario",
-                    "fp": fingerprint,
-                    "kind": scenario.kind,
-                    "features": scenario.features,
-                    "goal": scenario.signature,
-                    "axes": [
-                        [objective.metric, objective.direction.value]
-                        for objective in axes
-                    ],
-                }
-            )
+            self._log.append([self._scenario_entry(fingerprint, scenario)])
 
     def ingest(
         self,
@@ -392,17 +253,11 @@ class DesignAtlas:
                     continue
                 ingested += 1
                 entries.append(
-                    {
-                        "schema": ATLAS_SCHEMA_VERSION,
-                        "type": "record",
-                        "fp": fingerprint,
-                        "point": [[k, v] for k, v in key],
-                        "fid": record.fidelity,
-                        "metrics": metrics,
-                        "exact": exact,
-                    }
+                    self._record_entry(
+                        fingerprint, key, record.fidelity, metrics, exact
+                    )
                 )
-            self._append_entries(entries)
+            self._log.append(entries)
             frontier_size = len(scenario.frontier)
         return {"ingested": ingested, "frontier": frontier_size}
 
@@ -411,7 +266,7 @@ class DesignAtlas:
     def replay(self, fingerprint: str) -> List[EvaluationRecord]:
         """Every stored record of one scenario (all fidelities)."""
         with self._lock:
-            self._refresh_locked()
+            self._log.refresh()
             scenario = self._scenarios.get(fingerprint)
             if scenario is None:
                 return []
@@ -423,7 +278,7 @@ class DesignAtlas:
     def frontier(self, fingerprint: str) -> Tuple[EvaluationRecord, ...]:
         """The exact-fidelity Pareto frontier of one scenario."""
         with self._lock:
-            self._refresh_locked()
+            self._log.refresh()
             scenario = self._scenarios.get(fingerprint)
             if scenario is None:
                 return ()
@@ -431,7 +286,7 @@ class DesignAtlas:
 
     def scenario_info(self, fingerprint: str) -> Optional[Dict[str, Any]]:
         with self._lock:
-            self._refresh_locked()
+            self._log.refresh()
             scenario = self._scenarios.get(fingerprint)
             if scenario is None:
                 return None
@@ -460,7 +315,7 @@ class DesignAtlas:
         """
         out: List[Tuple[str, float]] = []
         with self._lock:
-            self._refresh_locked()
+            self._log.refresh()
             for fingerprint, scenario in self._scenarios.items():
                 if scenario.kind != kind or scenario.signature != signature:
                     continue
@@ -474,27 +329,26 @@ class DesignAtlas:
 
     def fingerprints(self) -> List[str]:
         with self._lock:
-            self._refresh_locked()
+            self._log.refresh()
             return sorted(self._scenarios)
 
     def stats(self) -> Dict[str, Any]:
         """Plain-dict accounting (for status endpoints/reports)."""
         with self._lock:
-            self._refresh_locked()
+            self._log.refresh()
+            records = sum(len(s.records) for s in self._scenarios.values())
             return {
                 "path": str(self.path),
                 "scenarios": len(self._scenarios),
-                "records": sum(
-                    len(s.records) for s in self._scenarios.values()
-                ),
+                "records": records,
                 "frontier": sum(
                     len(s.frontier) for s in self._scenarios.values()
                 ),
-                "loaded": self.n_loaded,
+                "loaded": records,
                 "skipped": self.n_skipped,
             }
 
-    # -- index sidecar / lifecycle ---------------------------------------
+    # -- index sidecar / compaction / lifecycle --------------------------
 
     @property
     def index_path(self) -> Path:
@@ -513,69 +367,50 @@ class DesignAtlas:
                 for fingerprint, scenario in self._scenarios.items()
             },
         }
-        tmp = Path(str(self.index_path) + ".tmp")
-        tmp.parent.mkdir(parents=True, exist_ok=True)
-        with tmp.open("w", encoding="utf-8") as handle:
-            json.dump(index, handle, indent=2, sort_keys=True)
-            handle.write("\n")
-        os.replace(tmp, self.index_path)
+        atomic_write(
+            self.index_path, json.dumps(index, indent=2, sort_keys=True) + "\n"
+        )
 
-    def dump_entries(
-        self, frontier_only: bool = False, refresh: bool = True
-    ) -> List[Dict[str, Any]]:
-        """The canonical deduped entry stream (for ``atlas-compact``).
+    def _canonical_entries(self, frontier_only: bool) -> List[Dict[str, Any]]:
+        """One scenario line per fingerprint followed by its records.
 
-        One scenario line per fingerprint followed by its records —
-        max-fidelity survivors only, in a deterministic order.  With
-        ``frontier_only``, only the exact-fidelity Pareto frontier of
-        each scenario is kept (replay history is dropped).  Pass
-        ``refresh=False`` when the caller already holds the file lock
-        (a shared-lock refresh would self-deadlock against it).
+        Max-fidelity survivors only, in a deterministic order; with
+        ``frontier_only``, just the exact-fidelity Pareto frontier of
+        each scenario (replay history is dropped).
+        """
+        entries: List[Dict[str, Any]] = []
+        for fingerprint in sorted(self._scenarios):
+            scenario = self._scenarios[fingerprint]
+            entries.append(self._scenario_entry(fingerprint, scenario))
+            if frontier_only:
+                rows = [
+                    (
+                        tuple((str(k), v) for k, v in record.point),
+                        (record.fidelity, dict(record.metrics), True),
+                    )
+                    for record in scenario.frontier.records
+                ]
+            else:
+                rows = list(scenario.records.items())
+            rows.sort(key=lambda item: json.dumps(list(item[0])))
+            for key, (fidelity, metrics, exact) in rows:
+                entries.append(
+                    self._record_entry(fingerprint, key, fidelity, metrics, exact)
+                )
+        return entries
+
+    def compact(self, frontier_only: bool = False) -> int:
+        """Rewrite the file to its canonical deduped stream (``atlas-compact``).
+
+        Returns the record lines the file held before the rewrite.  This
+        atlas keeps its in-memory view; reopen the file to see exactly
+        what the rewrite kept.
         """
         with self._lock:
-            if refresh:
-                self._refresh_locked()
-            entries: List[Dict[str, Any]] = []
-            for fingerprint in sorted(self._scenarios):
-                scenario = self._scenarios[fingerprint]
-                entries.append(
-                    {
-                        "schema": ATLAS_SCHEMA_VERSION,
-                        "type": "scenario",
-                        "fp": fingerprint,
-                        "kind": scenario.kind,
-                        "features": scenario.features,
-                        "goal": scenario.signature,
-                        "axes": [
-                            [objective.metric, objective.direction.value]
-                            for objective in scenario.axes
-                        ],
-                    }
-                )
-                if frontier_only:
-                    rows = [
-                        (
-                            tuple((str(k), v) for k, v in record.point),
-                            (record.fidelity, dict(record.metrics), True),
-                        )
-                        for record in scenario.frontier.records
-                    ]
-                else:
-                    rows = list(scenario.records.items())
-                rows.sort(key=lambda item: json.dumps(list(item[0])))
-                for key, (fidelity, metrics, exact) in rows:
-                    entries.append(
-                        {
-                            "schema": ATLAS_SCHEMA_VERSION,
-                            "type": "record",
-                            "fp": fingerprint,
-                            "point": [[k, v] for k, v in key],
-                            "fid": fidelity,
-                            "metrics": metrics,
-                            "exact": exact,
-                        }
-                    )
-            return entries
+            self._log.rewrite(lambda: self._canonical_entries(frontier_only))
+            # The rewrite merged the old file's tail under its lock; the
+            # count resets when this atlas next reads the new file.
+            return self.n_record_lines
 
     def close(self) -> None:
         with self._lock:

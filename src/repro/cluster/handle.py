@@ -1,8 +1,9 @@
 """Blocking-world handles: a router thread, and a whole-cluster-in-one.
 
-:class:`RouterHandle` mirrors :class:`~repro.serve.server.ServeHandle`
-for the router: event loop + :class:`ClusterRouter` + socket server on
-a daemon thread, ``start()`` returning once the socket is bound.
+:class:`RouterHandle` is :class:`~repro.serve.server.ServeHandle`'s
+life cycle (:class:`~repro.serve.server.LoopThreadHandle`) for the
+router: event loop + :class:`ClusterRouter` + socket server on a
+daemon thread, ``start()`` returning once the socket is bound.
 
 :class:`ClusterHandle` is what the MetaCore facades' ``serve(replicas=N)``
 returns: it owns N in-process replica ``ServeHandle``s plus one router
@@ -16,10 +17,8 @@ caching never changes results, so the split is invisible to clients.
 
 from __future__ import annotations
 
-import asyncio
 import dataclasses
-import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Coroutine, Dict, List, Optional, Tuple
 
 from repro.cluster.router import (
     ClusterRouter,
@@ -29,12 +28,14 @@ from repro.cluster.router import (
 )
 from repro.cluster.topology import Replica, Topology
 from repro.serve.protocol import spec_to_payload
-from repro.serve.server import ServeHandle
+from repro.serve.server import LoopThreadHandle, ServeHandle
 from repro.serve.service import ServiceConfig
 
 
-class RouterHandle:
+class RouterHandle(LoopThreadHandle):
     """Router + socket server on a background thread."""
+
+    _thread_name = "metacores-router"
 
     def __init__(
         self,
@@ -44,100 +45,25 @@ class RouterHandle:
         port: int = 0,
         unix_path: Optional[str] = None,
     ) -> None:
+        super().__init__(host=host, port=port, unix_path=unix_path)
         self.topology = topology
         self.config = config or RouterConfig()
-        self.host = host
-        self.port = port
-        self.unix_path = unix_path
-        self.router: Optional[ClusterRouter] = None
-        self._thread: Optional[threading.Thread] = None
-        self._loop: Optional[asyncio.AbstractEventLoop] = None
-        self._server: Optional[RouterServer] = None
-        self._ready = threading.Event()
-        self._startup_error: Optional[BaseException] = None
-
-    def start(self) -> "RouterHandle":
-        if self._thread is not None:
-            raise RuntimeError("handle already started")
-        self._thread = threading.Thread(
-            target=self._run, name="metacores-router", daemon=True
-        )
-        self._thread.start()
-        self._ready.wait()
-        if self._startup_error is not None:
-            self._thread.join()
-            raise self._startup_error
-        return self
-
-    def _run(self) -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        self._loop = loop
-
-        def on_ready(server: RouterServer) -> None:
-            self._server = server
-            self.router = server.router
-            self.port = server.port
-            self._ready.set()
-
-        try:
-            loop.run_until_complete(
-                route_forever(
-                    self.topology,
-                    config=self.config,
-                    host=self.host,
-                    port=self.port,
-                    unix_path=self.unix_path,
-                    ready_callback=on_ready,
-                )
-            )
-        except BaseException as exc:  # surface bind errors to start()
-            if not self._ready.is_set():
-                self._startup_error = exc
-                self._ready.set()
-        finally:
-            loop.close()
-
-    def stop(self) -> None:
-        """Request shutdown and join the router thread (idempotent)."""
-        thread, self._thread = self._thread, None
-        if thread is None:
-            return
-        loop, server = self._loop, self._server
-        if loop is not None and server is not None and loop.is_running():
-            loop.call_soon_threadsafe(server.shutdown_requested.set)
-        thread.join(timeout=30.0)
-
-    def __enter__(self) -> "RouterHandle":
-        if self._thread is None:
-            self.start()
-        return self
-
-    def __exit__(self, exc_type, exc, tb) -> None:
-        self.stop()
 
     @property
-    def address(self) -> Tuple[str, int]:
-        return (self.host, self.port)
+    def router(self) -> Optional[ClusterRouter]:
+        """The running router (None before ``start()``)."""
+        server = self._server
+        return server.router if isinstance(server, RouterServer) else None
 
-    def client(self, timeout_s: float = 120.0):
-        """A connected synchronous client for the router."""
-        from repro.serve.client import ServeClient
-
-        return ServeClient(
+    def _serve(self, ready_callback) -> Coroutine[Any, Any, None]:
+        return route_forever(
+            self.topology,
+            config=self.config,
             host=self.host,
             port=self.port,
             unix_path=self.unix_path,
-            timeout_s=timeout_s,
+            ready_callback=ready_callback,
         )
-
-    def submit_async(self, coroutine):
-        """Schedule a router coroutine; returns a concurrent future."""
-        assert self._loop is not None, "handle not started"
-        return asyncio.run_coroutine_threadsafe(coroutine, self._loop)
-
-    def submit(self, coroutine) -> Any:
-        return self.submit_async(coroutine).result()
 
 
 def _replica_config(base: ServiceConfig, name: str) -> ServiceConfig:

@@ -63,7 +63,7 @@ from repro.serve.protocol import (
     error_response,
     ok_response,
 )
-from repro.serve.server import ServeServer
+from repro.serve.server import ServeServer, run_until_shutdown
 from repro.serve.service import fingerprint_for_payload
 
 #: Replica error codes that mean "try another replica", not "the
@@ -504,12 +504,4 @@ async def route_forever(
     """Run router + server until a ``shutdown`` request arrives."""
     router = ClusterRouter(topology, config)
     server = RouterServer(router, host=host, port=port, unix_path=unix_path)
-    await router.start()
-    try:
-        await server.start()
-        if ready_callback is not None:
-            ready_callback(server)
-        await server.shutdown_requested.wait()
-    finally:
-        await server.stop()
-        await router.stop()
+    await run_until_shutdown(router, server, ready_callback)

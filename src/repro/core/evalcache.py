@@ -21,11 +21,11 @@ share a single cache file across their specs).
 
 from __future__ import annotations
 
-import json
 import threading
-import warnings
 from pathlib import Path
-from typing import Any, Dict, IO, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Tuple, Union
+
+from repro.core.jsonlog import JsonLog
 
 PointKey = Tuple[Tuple[str, Any], ...]
 
@@ -58,68 +58,34 @@ class PersistentEvalCache:
     Thread-safe; entries survive process restarts.  Records are written
     eagerly (one line per computed evaluation, flushed immediately) so a
     crashed or interrupted search still leaves its paid-for evaluations
-    behind for the next run.
+    behind for the next run.  The file is read at construction and each
+    append first merges what other writers appended since; locking,
+    corrupt lines and torn tails follow :mod:`repro.core.jsonlog`.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
         self.path = Path(path)
         self._lock = threading.Lock()
         self._entries: Dict[Tuple[str, PointKey], Tuple[int, Dict[str, float]]] = {}
-        self._file: Optional[IO[str]] = None
-        self.n_loaded = 0
-        #: Corrupt (undecodable / malformed) lines skipped at load time.
-        #: Schema-version mismatches are *not* corruption and stay silent.
-        self.n_skipped = 0
-        self._load()
-
-    # -- loading ---------------------------------------------------------
-
-    def _load(self) -> None:
-        if not self.path.exists():
-            return
-        with self.path.open("r", encoding="utf-8") as handle:
-            for line_no, line in enumerate(handle, start=1):
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    record = json.loads(line)
-                except json.JSONDecodeError:
-                    # Torn tail line from an interrupted run — expected
-                    # once at EOF, suspicious anywhere else; either way
-                    # the entry is lost, so say so.
-                    self._skip(line_no, "undecodable JSON")
-                    continue
-                if not isinstance(record, dict):
-                    self._skip(line_no, "not a JSON object")
-                    continue
-                if record.get("schema") != CACHE_SCHEMA_VERSION:
-                    continue  # orphaned by a schema bump, by design
-                try:
-                    key = (
-                        str(record["fp"]),
-                        tuple((str(k), v) for k, v in record["point"]),
-                    )
-                    fidelity = int(record["fid"])
-                    metrics = {
-                        str(k): float(v) for k, v in record["metrics"].items()
-                    }
-                except (KeyError, TypeError, ValueError):
-                    self._skip(line_no, "malformed record")
-                    continue
-                existing = self._entries.get(key)
-                if existing is None or fidelity > existing[0]:
-                    self._entries[key] = (fidelity, metrics)
+        self._log = JsonLog(
+            self.path, "evaluation cache", CACHE_SCHEMA_VERSION, self._load_entry
+        )
+        with self._lock:
+            self._log.refresh()
         self.n_loaded = len(self._entries)
 
-    def _skip(self, line_no: int, reason: str) -> None:
-        self.n_skipped += 1
-        warnings.warn(
-            f"evaluation cache {self.path}: skipping corrupt line "
-            f"{line_no} ({reason})",
-            RuntimeWarning,
-            stacklevel=4,
-        )
+    @property
+    def n_skipped(self) -> int:
+        """Corrupt lines skipped; schema-version mismatches are not counted."""
+        return self._log.n_skipped
+
+    def _load_entry(self, record: Mapping[str, Any]) -> None:
+        key = (str(record["fp"]), tuple((str(k), v) for k, v in record["point"]))
+        fidelity = int(record["fid"])
+        metrics = {str(k): float(v) for k, v in record["metrics"].items()}
+        existing = self._entries.get(key)
+        if existing is None or fidelity > existing[0]:
+            self._entries[key] = (fidelity, metrics)
 
     # -- lookup / insert -------------------------------------------------
 
@@ -163,11 +129,7 @@ class PersistentEvalCache:
                 "metrics": metrics,
                 "elapsed_s": round(float(elapsed_s), 6),
             }
-            if self._file is None:
-                self.path.parent.mkdir(parents=True, exist_ok=True)
-                self._file = self.path.open("a", encoding="utf-8")
-            self._file.write(json.dumps(record, separators=(",", ":")) + "\n")
-            self._file.flush()
+            self._log.append([record])
             return True
 
     # -- bookkeeping -----------------------------------------------------
@@ -187,10 +149,7 @@ class PersistentEvalCache:
             }
 
     def close(self) -> None:
-        with self._lock:
-            if self._file is not None:
-                self._file.close()
-                self._file = None
+        """Nothing to release: no file stays open between appends."""
 
     def __enter__(self) -> "PersistentEvalCache":
         return self

@@ -143,15 +143,6 @@ class EvaluationLog:
             counts[record.fidelity] = counts.get(record.fidelity, 0) + 1
         return counts
 
-    def time_by_fidelity(self) -> Dict[int, float]:
-        """Evaluator CPU seconds spent per fidelity level."""
-        totals: Dict[int, float] = {}
-        for record in self.records:
-            totals[record.fidelity] = (
-                totals.get(record.fidelity, 0.0) + record.elapsed_s
-            )
-        return totals
-
     def unique_points(self) -> int:
         return len({record.point for record in self.records})
 

@@ -490,14 +490,6 @@ class MetacoreSearch:
         if existing is None or self.goal.compare(metrics, existing) < 0:
             self._ranked[key] = metrics
 
-    def _current_best_key(self) -> Optional[Tuple]:
-        best_key = None
-        best_metrics: Optional[Metrics] = None
-        for key, metrics in self._ranked.items():
-            if best_metrics is None or self.goal.compare(metrics, best_metrics) < 0:
-                best_key, best_metrics = key, metrics
-        return best_key
-
     # ------------------------------------------------------------------
 
     def _search_region(self, region: Region, level: int) -> None:

@@ -6,9 +6,10 @@ away.  This module makes a :class:`~repro.core.search.MetacoreSearch`
 restartable:
 
 - :class:`CheckpointingEvaluator` sits under the search's in-memory
-  cache and writes an **atomic JSON checkpoint** (temp file +
-  ``os.replace``) after every computed evaluation round, recording each
-  priced (point, fidelity, metrics) triple;
+  cache and writes an **atomic JSON checkpoint**
+  (:func:`~repro.core.jsonlog.atomic_write`) after every computed
+  evaluation round, recording each priced (point, fidelity, metrics)
+  triple;
 - on resume, the checkpoint's records answer their evaluations
   **bit-identically** (JSON round-trips Python floats exactly), so the
   search replays deterministically — it fast-forwards through the
@@ -28,7 +29,6 @@ between rounds.
 from __future__ import annotations
 
 import json
-import os
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -41,6 +41,7 @@ from repro.core.evaluation import (
     TimedEvaluation,
     evaluate_many_timed,
 )
+from repro.core.jsonlog import atomic_write
 from repro.core.objectives import DesignGoal
 from repro.core.parameters import DesignSpace, Point, frozen_point
 from repro.core.search import (
@@ -234,15 +235,9 @@ class CheckpointingEvaluator:
                 for (key, fidelity), (metrics, elapsed) in self._records.items()
             ],
         }
-        self.checkpoint_path.parent.mkdir(parents=True, exist_ok=True)
-        tmp_path = self.checkpoint_path.with_name(
-            self.checkpoint_path.name + ".tmp"
+        atomic_write(
+            self.checkpoint_path, json.dumps(payload, separators=(",", ":"))
         )
-        with tmp_path.open("w", encoding="utf-8") as handle:
-            json.dump(payload, handle, separators=(",", ":"))
-            handle.flush()
-            os.fsync(handle.fileno())
-        os.replace(tmp_path, self.checkpoint_path)
         get_registry().counter("session.checkpoint_writes").inc()
         trace_event(
             "session.checkpoint_written",

@@ -12,15 +12,17 @@ Two ways to run it:
 - :func:`serve_forever` — the CLI entry point; owns the loop, serves
   until a ``shutdown`` request (or cancellation) arrives.
 - :class:`ServeHandle` — runs loop + service + server on a background
-  thread; the in-process path used by the MetaCore facades' ``serve()``
-  hooks, the test suite, and the benchmark harness.
+  thread (the :class:`LoopThreadHandle` life cycle, shared with the
+  cluster router's handle); the in-process path used by the MetaCore
+  facades' ``serve()`` hooks, the test suite, and the benchmark
+  harness.
 """
 
 from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Coroutine, Dict, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.serve.protocol import (
@@ -239,6 +241,24 @@ class ServeServer:
         raise ConfigurationError(f"unknown operation {op!r}")
 
 
+async def run_until_shutdown(backend, server: ServeServer, ready_callback=None) -> None:
+    """Start ``backend`` and ``server``; stop both once shutdown is asked.
+
+    The one life cycle of a socket front-end, shared by
+    :func:`serve_forever` (an :class:`EvaluationService` backend) and
+    :func:`~repro.cluster.router.route_forever` (a cluster router).
+    """
+    await backend.start()
+    try:
+        await server.start()
+        if ready_callback is not None:
+            ready_callback(server)
+        await server.shutdown_requested.wait()
+    finally:
+        await server.stop()
+        await backend.stop()
+
+
 async def serve_forever(
     config: Optional[ServiceConfig] = None,
     host: str = "127.0.0.1",
@@ -250,37 +270,26 @@ async def serve_forever(
     """Run service + server until a ``shutdown`` request arrives."""
     service = service or EvaluationService(config)
     server = ServeServer(service, host=host, port=port, unix_path=unix_path)
-    await service.start()
-    try:
-        await server.start()
-        if ready_callback is not None:
-            ready_callback(server)
-        await server.shutdown_requested.wait()
-    finally:
-        await server.stop()
-        await service.stop()
+    await run_until_shutdown(service, server, ready_callback)
 
 
-class ServeHandle:
-    """Service + socket server on a background thread.
+class LoopThreadHandle:
+    """A socket front-end's event loop on a daemon thread.
 
     The blocking-world adapter: ``start()`` returns once the socket is
     bound (with the OS-assigned port resolved), ``stop()`` joins the
-    thread after an orderly shutdown.  Usable as a context manager::
-
-        with ViterbiMetaCore(spec).serve() as handle:
-            with handle.client() as client:
-                client.eval(...)
+    thread after an orderly shutdown; usable as a context manager.
+    Subclasses name the coroutine that runs on the loop (``_serve``).
     """
+
+    _thread_name = "metacores-serve"
 
     def __init__(
         self,
-        config: Optional[ServiceConfig] = None,
         host: str = "127.0.0.1",
         port: int = 0,
         unix_path: Optional[str] = None,
     ) -> None:
-        self.service = EvaluationService(config)
         self.host = host
         self.port = port
         self.unix_path = unix_path
@@ -290,13 +299,16 @@ class ServeHandle:
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
 
+    def _serve(self, ready_callback) -> Coroutine[Any, Any, None]:
+        raise NotImplementedError
+
     # -- life cycle ------------------------------------------------------
 
-    def start(self) -> "ServeHandle":
+    def start(self):
         if self._thread is not None:
             raise RuntimeError("handle already started")
         self._thread = threading.Thread(
-            target=self._run, name="metacores-serve", daemon=True
+            target=self._run, name=self._thread_name, daemon=True
         )
         self._thread.start()
         self._ready.wait()
@@ -316,15 +328,7 @@ class ServeHandle:
             self._ready.set()
 
         try:
-            loop.run_until_complete(
-                serve_forever(
-                    host=self.host,
-                    port=self.port,
-                    unix_path=self.unix_path,
-                    ready_callback=on_ready,
-                    service=self.service,
-                )
-            )
+            loop.run_until_complete(self._serve(on_ready))
         except BaseException as exc:  # surface bind errors to start()
             if not self._ready.is_set():
                 self._startup_error = exc
@@ -333,7 +337,7 @@ class ServeHandle:
             loop.close()
 
     def stop(self) -> None:
-        """Request shutdown and join the server thread (idempotent)."""
+        """Request shutdown and join the loop thread (idempotent)."""
         thread, self._thread = self._thread, None
         if thread is None:
             return
@@ -342,7 +346,7 @@ class ServeHandle:
             loop.call_soon_threadsafe(server.shutdown_requested.set)
         thread.join(timeout=30.0)
 
-    def __enter__(self) -> "ServeHandle":
+    def __enter__(self):
         if self._thread is None:
             self.start()
         return self
@@ -368,10 +372,40 @@ class ServeHandle:
         )
 
     def submit_async(self, coroutine):
-        """Schedule a service coroutine; returns a concurrent future."""
+        """Schedule a coroutine on the loop; returns a concurrent future."""
         assert self._loop is not None, "handle not started"
         return asyncio.run_coroutine_threadsafe(coroutine, self._loop)
 
     def submit(self, coroutine) -> Any:
-        """Run a service coroutine from the caller's thread (blocking)."""
+        """Run a coroutine on the loop from the caller's thread (blocking)."""
         return self.submit_async(coroutine).result()
+
+
+class ServeHandle(LoopThreadHandle):
+    """Service + socket server on a background thread.
+
+    Usable as a context manager::
+
+        with ViterbiMetaCore(spec).serve() as handle:
+            with handle.client() as client:
+                client.eval(...)
+    """
+
+    def __init__(
+        self,
+        config: Optional[ServiceConfig] = None,
+        host: str = "127.0.0.1",
+        port: int = 0,
+        unix_path: Optional[str] = None,
+    ) -> None:
+        super().__init__(host=host, port=port, unix_path=unix_path)
+        self.service = EvaluationService(config)
+
+    def _serve(self, ready_callback) -> Coroutine[Any, Any, None]:
+        return serve_forever(
+            host=self.host,
+            port=self.port,
+            unix_path=self.unix_path,
+            ready_callback=ready_callback,
+            service=self.service,
+        )

@@ -356,3 +356,59 @@ class TestParallelCacheEndToEnd:
         assert winners[0] and winners[0] == winners[1], winners
         # No pool worker outlives its search.
         assert _processes_mentioning(str(cache)) in ([], None)
+
+
+class TestResilienceEndToEnd:
+    """Fault-injection campaign and an interrupted, resumed search."""
+
+    SEARCH = [
+        "viterbi-search", "--ber", "5e-2", "--es-n0-db", "4.0",
+        "--throughput", "1e6", "--max-resolution", "0", "--top-k", "1",
+    ]
+
+    @staticmethod
+    def _winner(out: str) -> list:
+        return re.findall(r"^winner:.*$", out, re.MULTILINE)
+
+    def test_campaign_out_rerenders_same_report(self, capsys, tmp_path):
+        campaign = tmp_path / "camp.json"
+        code = main(
+            [
+                "inject-campaign", "--k", "3", "--q", "hard",
+                "--rates", "2e-3", "--targets", "traceback",
+                "--snr", "2.0", "--bits", "2048", "--out", str(campaign),
+            ]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        header = "fault-injection campaign report"
+        assert header in out
+        assert main(["campaign-report", str(campaign)]) == 0
+        rerendered = capsys.readouterr().out
+        assert header in rerendered
+        assert rerendered.splitlines()[:4] == out.splitlines()[:4]
+
+    def test_interrupted_search_resumes_to_the_same_winner(
+        self, capsys, tmp_path
+    ):
+        checkpoint = tmp_path / "run.ckpt"
+        assert main(self.SEARCH) == 0
+        uninterrupted = self._winner(capsys.readouterr().out)
+        assert uninterrupted
+
+        code = main(
+            [*self.SEARCH, "--checkpoint", str(checkpoint), "--max-rounds", "1"]
+        )
+        out = capsys.readouterr().out
+        assert code == 3, out
+        assert "rerun with --resume" in out
+        assert checkpoint.stat().st_size > 0
+
+        code = main(
+            [*self.SEARCH, "--checkpoint", str(checkpoint), "--resume",
+             "--resilient"]
+        )
+        out = capsys.readouterr().out
+        assert code == 0, out
+        assert "(1 restored, " in out
+        assert self._winner(out) == uninterrupted

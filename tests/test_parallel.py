@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import warnings
 from typing import Dict
 
 import pytest
@@ -166,6 +167,30 @@ class TestPersistentCache:
             handle.write('{"schema":1,"fp":"fp","poi')  # interrupted write
         reloaded = PersistentEvalCache(path)
         assert reloaded.n_loaded == 1
+
+    def test_append_after_kill_at_every_offset_loses_nothing(self, tmp_path):
+        # A writer killed mid-line leaves a fragment; the next append
+        # must end it, not glue its first record onto it.
+        path = tmp_path / "c.jsonl"
+        with PersistentEvalCache(path) as store:
+            for a in range(3):
+                store.put("fp", frozen_point({"a": a}), 0, {"m": float(a)})
+        data = path.read_bytes()
+        last_line = data.rindex(b"\n", 0, len(data) - 1) + 1
+        new_key = frozen_point({"a": 99})
+        for cut in range(last_line, len(data)):
+            path.write_bytes(data[:cut])
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", RuntimeWarning)
+                with PersistentEvalCache(path) as store:
+                    assert store.put("fp", new_key, 0, {"m": 99.0})
+                reloaded = PersistentEvalCache(path)
+            assert reloaded.n_skipped <= 1, cut
+            for a in range(2):
+                assert reloaded.get("fp", frozen_point({"a": a}), 0) == (
+                    0, {"m": float(a)}
+                ), cut
+            assert reloaded.get("fp", new_key, 0) == (0, {"m": 99.0}), cut
 
     def test_fingerprint_fallback_for_plain_evaluators(self):
         evaluator = FunctionEvaluator(lambda p, f: {"m": 0.0}, max_fidelity=3)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import warnings
 from typing import Dict
 
 import numpy as np
@@ -399,6 +400,17 @@ class TestEvalCacheCorruption:
         assert reloaded.n_skipped == 2
         assert reloaded.get("fp", (("a", 1),), 0) == (0, {"m": 1.0})
         assert reloaded.get("fp", (("a", 2),), 0) == (0, {"m": 2.0})
+
+    def test_corrupt_lines_warn_once_per_store(self, tmp_path):
+        path = tmp_path / "cache.jsonl"
+        PersistentEvalCache(path).put("fp", (("a", 1),), 0, {"m": 1.0})
+        with path.open("a", encoding="utf-8") as handle:
+            handle.write("{not json\n[1, 2]\n")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            reloaded = PersistentEvalCache(path)
+        assert reloaded.n_skipped == 2
+        assert len(caught) == 1 and "corrupt line" in str(caught[0].message)
 
     def test_schema_mismatch_is_silent_by_design(self, tmp_path):
         path = tmp_path / "cache.jsonl"
