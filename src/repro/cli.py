@@ -39,6 +39,7 @@ import asyncio
 import contextlib
 import json
 import math
+import os
 import sys
 from typing import Iterator, List, Optional
 
@@ -628,9 +629,11 @@ def cmd_inject_campaign(args: argparse.Namespace) -> int:
     )
     with _tracing(args):
         result = campaign.run()
-    print(format_campaign_report(result))
+    # The file first: a reader that stops early must not cost it.
     if args.out:
         result.save(args.out)
+    print(format_campaign_report(result))
+    if args.out:
         print(f"campaign results written to {args.out}")
     return 0
 
@@ -1292,12 +1295,31 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+#: Exit status when standard output's reader has gone (``| head``):
+#: what a shell reports for a process killed by SIGPIPE.
+EXIT_BROKEN_PIPE = 128 + 13
+
+
 def main(argv: Optional[List[str]] = None) -> int:
-    """CLI entry point; returns the process exit code."""
+    """CLI entry point; returns the process exit code.
+
+    A reader that closes standard output early (``metacores ... | head``)
+    ends the command quietly with :data:`EXIT_BROKEN_PIPE`: commands
+    write their result files before they print.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # Point stdout at devnull so the interpreter's final flush of
+        # the unwritten rest does not raise again on exit.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_BROKEN_PIPE
     finally:
         # Worker pools must not outlive the command (satellite of the
         # resilience work: no orphaned processes on any exit path).

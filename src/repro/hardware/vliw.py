@@ -21,6 +21,8 @@ import math
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+import numpy as np
+
 from repro.errors import ConfigurationError, SynthesisError
 from repro.hardware.area import AreaBreakdown, estimate_area
 from repro.hardware.clock import clock_mhz
@@ -199,33 +201,57 @@ def evaluate_machine(
     return ImplementationEstimate(machine, sched, area, _throughput(machine, sched))
 
 
-def _column_minimum(
-    program: LeveledProgram, target_throughput_bps: float, **column
-) -> Optional[ImplementationEstimate]:
-    """The machine with the fewest ALUs (1..``MAX_ALUS``) meeting the
-    target, all other parameters fixed by ``column``; ``None`` when even
-    ``MAX_ALUS`` falls short.  Feasibility is monotone in the ALU count
-    (cycles never rise as ALUs are added), so bisection finds it.
+def _column_cycles(
+    program: LeveledProgram, columns: List[Tuple[int, int, int]]
+) -> np.ndarray:
+    """``schedule(program, machine).cycles`` of every machine at once.
+
+    ``columns`` lists (memory ports, multipliers, register file)
+    choices; the result is ``(columns, MAX_ALUS)``, one entry per ALU
+    count 1..``MAX_ALUS``.  The vector form of :func:`schedule`: every
+    machine is priced against the program's levels as one
+    ``(levels, columns, ALUs)`` array, with the float operations of
+    ``_level_cycles``.  The level cycles are integer-valued floats, so
+    their sum is exact in any order and equals the scalar one.
     """
+    ports, mults, regfile = (
+        np.array(values, dtype=float)[:, np.newaxis] for values in zip(*columns)
+    )
+    alus = np.arange(1, MAX_ALUS + 1, dtype=float)
+    issue_width = alus + mults + ports + 1.0
 
-    def probe(n_alus: int) -> ImplementationEstimate:
-        machine = MachineConfig(
-            n_alus=n_alus, datapath_width=program.datapath_width, **column
+    def level_cycles(alu, mult, memory, branch, total):
+        bound = np.maximum(
+            np.maximum(alu / alus, memory / ports),
+            np.maximum(branch / 1.0, total / issue_width),
         )
-        return evaluate_machine(program, machine)
+        mult_bound = np.divide(
+            mult, mults, out=np.zeros(np.broadcast(mult, mults).shape),
+            where=mults > 0,
+        )
+        cycles = np.maximum(1.0, np.ceil(np.maximum(bound, mult_bound)))
+        return np.where((mult > 0) & (mults == 0), np.inf, cycles)
 
-    best = probe(MAX_ALUS)
-    if best.throughput_bps < target_throughput_bps:
-        return None
-    lo, hi = 1, MAX_ALUS
-    while lo < hi:
-        mid = (lo + hi) // 2
-        estimate = probe(mid)
-        if estimate.throughput_bps >= target_throughput_bps:
-            hi, best = mid, estimate
-        else:
-            lo = mid + 1
-    return best
+    counts = np.array(
+        [
+            (c.alu, c.mult, c.memory, c.branch, c.total)
+            for c in (level.counts for level in program.levels)
+        ],
+        dtype=float,
+    ).reshape(-1, 5, 1, 1)
+    cycles = level_cycles(*counts.transpose(1, 0, 2, 3)).sum(axis=0)
+    spilled = program.live_words > regfile
+    if spilled.any():
+        spill_ops = 2.0 * (program.live_words - regfile)
+        spill = OperationCounts(load=spill_ops / 2, store=spill_ops / 2)
+        cycles = cycles + np.where(
+            spilled,
+            level_cycles(
+                spill.alu, spill.mult, spill.memory, spill.branch, spill.total
+            ),
+            0.0,
+        )
+    return cycles + LOOP_OVERHEAD_CYCLES
 
 
 def optimize_machine(
@@ -243,30 +269,44 @@ def optimize_machine(
     Raises :class:`SynthesisError` when even the largest machine cannot
     reach the target — the mechanism behind "Not Feasible" verdicts.
 
-    The search is exact without enumerating every machine: within one
+    The search is exact without evaluating every machine: within one
     (memory ports, multipliers, register file) column, cycles never rise
     and area strictly rises as ALUs are added, so the column's smallest
-    machine is its smallest feasible ALU count, found by bisection.
+    machine is its smallest feasible ALU count.  All columns are priced
+    at every ALU count at once (:func:`_column_cycles`, with
+    :func:`_throughput`'s arithmetic), and only each column's minimum
+    goes through :func:`evaluate_machine`.
     """
     if target_throughput_bps <= 0:
         raise ConfigurationError("throughput target must be positive")
     if needs_mults is None:
         needs_mults = program.op_counts.mult > 0
     mult_range = range(1, MAX_MULTS + 1) if needs_mults else (0,)
-    column_minima: List[ImplementationEstimate] = []
-    for n_ports, n_mults, regfile in itertools.product(
-        range(1, MAX_MEM_PORTS + 1), mult_range, REGFILE_CHOICES
-    ):
-        estimate = _column_minimum(
-            program,
-            target_throughput_bps,
-            n_mem_ports=n_ports,
-            n_mults=n_mults,
-            regfile_words=regfile,
-            feature_um=feature_um,
+    columns = list(
+        itertools.product(
+            range(1, MAX_MEM_PORTS + 1), mult_range, REGFILE_CHOICES
         )
-        if estimate is not None:
-            column_minima.append(estimate)
+    )
+    clock = clock_mhz(feature_um, program.datapath_width)
+    feasible = (
+        clock * 1.0e6 * 1.0 / _column_cycles(program, columns)
+        >= target_throughput_bps
+    )
+    column_minima = [
+        evaluate_machine(
+            program,
+            MachineConfig(
+                n_alus=int(np.argmax(row)) + 1,
+                n_mem_ports=n_ports,
+                n_mults=n_mults,
+                regfile_words=regfile,
+                feature_um=feature_um,
+                datapath_width=program.datapath_width,
+            ),
+        )
+        for (n_ports, n_mults, regfile), row in zip(columns, feasible)
+        if row.any()
+    ]
     if not column_minima:
         raise SynthesisError(
             f"{program.name}: no machine with <= {MAX_ALUS} ALUs reaches "

@@ -37,18 +37,19 @@ This module removes it without changing a single output bit:
 - **Hoisted buffers.**  Candidate/metric scratch arrays are allocated
   once and rotated, so the step loop performs few allocations beyond
   numpy's internal reductions.
-- **Compiled loops.**  The classic forward pass and the trace-back of
-  both decoders run in C (``acs.c``) when the system C compiler can
-  build it: :func:`native_library` compiles the source on the first
-  fused decode, caches the shared library by source, flags and platform
-  hash under ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``) and
+- **Compiled loops.**  The forward passes and the trace-back of both
+  decoders run in C (``acs.c``) when the system C compiler can build
+  it: :func:`native_library` compiles the source on the first fused
+  decode, caches the shared library by source, flags and platform hash
+  under ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``) and
   loads it with :mod:`ctypes`, which releases the interpreter lock for
   the call.  With no ``cc``, a failed build, an unwritable cache or any
   other load failure the numpy loops below run instead; they are the
   only path on such hosts.
-  The multiresolution forward pass always runs in numpy: its M-set and
-  N-best ranking follow numpy's unstable sort on ties, which a compiled
-  loop could only match by calling numpy back each step.
+  The multiresolution forward pass ranks its M-set and N best with
+  numpy's own ``argpartition``/``argsort``, whose tie order a compiled
+  sort would not reproduce, so its Python loop keeps those calls and
+  makes one C call per step for everything else.
 
 The kernels are *drop-in equivalent*: for every input they produce the
 same ``(decisions, best)`` arrays, the same ``_final_metrics``, and
@@ -61,6 +62,7 @@ otherwise).
 """
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import logging
 import os
@@ -195,16 +197,38 @@ def _build_native(compiler: str, source: bytes, path: Path) -> None:
             os.unlink(tmp)
 
 
-def _bind_native(path: Path):
-    # Imported here: a process that never decodes never loads ctypes.
-    import ctypes
+class _MultiresPlan(ctypes.Structure):
+    """``struct multires_plan`` of ``acs.c``, field for field: the
+    buffers and sizes one multiresolution forward pass fixes for all its
+    steps, so each step's call passes only the step and this plan."""
 
+    _fields_ = [
+        (name, ctypes.c_int64)
+        for name in (
+            "n_steps", "n_states", "n_frames", "n_paths", "n_norm",
+            "n_low_combos", "n_high_combos",
+        )
+    ] + [
+        (name, ctypes.c_void_p)
+        for name in (
+            "low_symbols", "high_symbols", "low_table", "high_table",
+            "pred", "chosen", "order", "acc", "low_acc", "work",
+            "decisions", "best",
+        )
+    ]
+
+
+def _bind_native(path: Path):
     lib = ctypes.CDLL(str(path))
     i64, ptr = ctypes.c_int64, ctypes.c_void_p
     lib.acs_forward.argtypes = [i64] * 4 + [ptr] * 9
     lib.acs_forward.restype = None
     lib.acs_traceback.argtypes = [i64] * 4 + [ptr] + [i64] * 3 + [ptr] * 3
     lib.acs_traceback.restype = None
+    lib.acs_multires_step.argtypes = [i64, ctypes.POINTER(_MultiresPlan)]
+    lib.acs_multires_step.restype = None
+    lib.acs_row_means.argtypes = [i64, i64, ptr, ptr]
+    lib.acs_row_means.restype = None
     return lib
 
 
@@ -366,12 +390,10 @@ def fused_forward_multires(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Fused forward pass for :class:`MultiresolutionViterbiDecoder`.
 
-    Runs in the ``(states, frames)`` layout of :func:`fused_forward`.
-    Each step gathers ``acc[predw]`` once and adds both resolutions'
-    table rows to it; per-step symbols are contiguous rows; the
-    ``scale-offset`` rescaling is applied to the high-resolution table
-    once, not per step.  Chosen states are addressed by flat word
-    offsets (``state * n_frames + frame``) for ``np.take``/``np.put``.
+    Runs in the ``(states, frames)`` layout of :func:`fused_forward`:
+    per-step symbols are contiguous rows, and the ``scale-offset``
+    rescaling is applied to the high-resolution table once, not per
+    step.
 
     Two branches, picked from the input:
 
@@ -380,19 +402,23 @@ def fused_forward_multires(
       search is K=3 with M=4): the selection is the identity, so there
       is nothing to select, no low-resolution decision to keep and
       nothing to merge.  The low tables only rank the states
-      (``np.argsort``) and feed the correction; the decisions are the
-      high-resolution ones.
+      (``np.argsort`` on the frames-major ``(frames, M)`` metrics) and
+      feed the correction; the decisions are the high-resolution ones.
     - ``M < n_states``: the low-resolution update of the full trellis,
       ``np.argpartition`` for the M-set and ``np.argsort`` for the N
       best, both with their default kinds on the states axis, then the
       high-resolution recomputation of the chosen states is merged back.
 
-    Either way the step is the reference's operation for operation, so
-    ties fall the same way: ``c1 < c0`` is ``argmin``'s slot-0 rule,
-    numpy's selection routines see the same values in the same order
-    per frame, and the correction averages a contiguous ``(frames, N)``
-    block as the reference does (numpy sums 8 or more terms pairwise,
-    so a reduction over the other axis would round differently).  The
+    With :func:`native_library` loaded, ``acs_multires_step`` does each
+    step's arithmetic and only those numpy selection calls stay in the
+    Python loop (:func:`_multires_native`); otherwise
+    :func:`_multires_numpy` runs the whole step in numpy.  Either way
+    the step is the reference's operation for operation, so ties fall
+    the same way: ``c1 < c0`` is ``argmin``'s slot-0 rule, numpy's
+    selection routines see the same values in the same order per frame,
+    and the correction averages a contiguous ``(frames, N)`` block as
+    the reference does (numpy sums 8 or more terms pairwise, so a
+    reduction over the other axis would round differently).  The
     low-resolution table masks erasures (as
     :meth:`~repro.viterbi.metrics.BranchMetricTable.compute` does); the
     high-resolution table does *not* (as ``compute_for_states`` does
@@ -400,24 +426,116 @@ def fused_forward_multires(
     """
     n_frames, n_steps, _ = received.shape
     n_states = decoder.trellis.n_states
-    m = decoder.multires_paths
-    n = decoder.normalization_count
-    corrected = decoder.normalization_method != "none"
     high_symbols = _step_symbols(decoder.high_quantizer, received, sigma)
     highw = _double_width(
         decoder.high_metric_table.combo_lut(erasure_masked=False)
     )
     if decoder.normalization_method == "scale-offset":
         highw *= decoder._scale
-    if corrected or m < n_states:
+    low_symbols = lutw = None
+    if (
+        decoder.normalization_method != "none"
+        or decoder.multires_paths < n_states
+    ):
         low_symbols = _step_symbols(decoder.low_quantizer, received, sigma)
         lutw = _double_width(decoder.metric_table.combo_lut())
-    predw = np.ascontiguousarray(decoder.trellis.predecessors.T.reshape(-1))
 
     acc = np.ascontiguousarray(decoder._initial_metrics(n_frames).T)
-    nacc = np.empty_like(acc)
     decisions = np.empty((n_steps, n_states, n_frames), dtype=np.uint8)
     best = np.empty((n_steps, n_frames), dtype=np.int64)
+    lib = native_library()
+    # The C step indexes tables by these values: check them first (the
+    # numpy loop's np.take raises on a bad one).
+    if (
+        lib is not None
+        and _within(high_symbols, highw.shape[1])
+        and (lutw is None or _within(low_symbols, lutw.shape[1]))
+    ):
+        _multires_native(
+            lib, decoder, acc, decisions, best,
+            low_symbols, lutw, high_symbols, highw,
+        )
+    else:
+        acc = _multires_numpy(
+            decoder, acc, decisions, best,
+            low_symbols, lutw, high_symbols, highw,
+        )
+    decoder._final_metrics = np.ascontiguousarray(acc.T)
+    return decisions.transpose(0, 2, 1), best
+
+
+def _multires_native(
+    lib, decoder, acc, decisions, best, low_symbols, lutw, high_symbols, highw
+) -> None:
+    """The multiresolution step loop on ``acs_multires_step``.
+
+    Per step, Python only ranks the C step's low-resolution metrics with
+    the numpy calls of :func:`_multires_numpy` (on the same values, in
+    the same layouts) and hands the ranking back in fixed buffers; the
+    C step finishes the step and begins the next one.  Every buffer the
+    plan points to is a local here, alive until the loop ends.
+    """
+    n_steps, n_states, n_frames = decisions.shape
+    m = decoder.multires_paths
+    n = (
+        decoder.normalization_count
+        if decoder.normalization_method != "none"
+        else 0
+    )
+    every = m == n_states
+    if lutw is None:  # nothing ranked, nothing corrected: no low tables
+        low_symbols, lutw = high_symbols, highw
+    low_symbols = np.ascontiguousarray(low_symbols, dtype=np.int64)
+    high_symbols = np.ascontiguousarray(high_symbols, dtype=np.int64)
+    pred = np.ascontiguousarray(decoder.trellis.predecessors, dtype=np.int64)
+    # argsort ranks rows of the frames-major (frames, M) metrics;
+    # argpartition ranks columns of the states-major (states, frames).
+    low_acc = np.empty((n_frames, n_states) if every else (n_states, n_frames))
+    chosen = np.empty((m, n_frames), dtype=np.int64)
+    order = np.empty((n_frames, m), dtype=np.int64)
+    work = np.empty(2 * n_states * n_frames + 2 * n_frames + n)
+    plan = ctypes.pointer(
+        _MultiresPlan(
+            n_steps=n_steps, n_states=n_states, n_frames=n_frames,
+            n_paths=m, n_norm=n, n_low_combos=lutw.shape[1],
+            n_high_combos=highw.shape[1], low_symbols=_ptr(low_symbols),
+            high_symbols=_ptr(high_symbols), low_table=_ptr(lutw),
+            high_table=_ptr(highw), pred=_ptr(pred), chosen=_ptr(chosen),
+            order=_ptr(order), acc=_ptr(acc), low_acc=_ptr(low_acc),
+            work=_ptr(work), decisions=_ptr(decisions), best=_ptr(best),
+        )
+    )
+    step = lib.acs_multires_step
+    step(-1, plan)
+    if every:
+        for t in range(n_steps):
+            if n:
+                np.copyto(order, np.argsort(low_acc, axis=1))
+            step(t, plan)
+        return
+    frame_col = np.arange(n_frames)[:, np.newaxis]
+    for t in range(n_steps):
+        np.copyto(chosen, np.argpartition(low_acc, m - 1, axis=0)[:m])
+        if n:
+            np.copyto(order, np.argsort(low_acc[chosen.T, frame_col], axis=1))
+        step(t, plan)
+
+
+def _multires_numpy(
+    decoder, acc, decisions, best, low_symbols, lutw, high_symbols, highw
+) -> np.ndarray:
+    """The multiresolution step loop in numpy; returns the final ``acc``.
+
+    Each step gathers ``acc[predw]`` once and adds both resolutions'
+    table rows to it.  Chosen states are addressed by flat word offsets
+    (``state * n_frames + frame``) for ``np.take``/``np.put``.
+    """
+    n_steps, n_states, n_frames = decisions.shape
+    m = decoder.multires_paths
+    n = decoder.normalization_count
+    corrected = decoder.normalization_method != "none"
+    predw = np.ascontiguousarray(decoder.trellis.predecessors.T.reshape(-1))
+    nacc = np.empty_like(acc)
     rowmin = np.empty((1, n_frames))
     # Work buffers, allocated once: acc[predw], both resolutions' metrics,
     # and the candidates, all (2 * states, frames).
@@ -504,8 +622,7 @@ def fused_forward_multires(
             np.minimum.reduce(nacc, axis=0, keepdims=True, out=rowmin)
             nacc -= rowmin
             acc, nacc = nacc, acc
-    decoder._final_metrics = np.ascontiguousarray(acc.T)
-    return decisions.transpose(0, 2, 1), best
+    return acc
 
 
 def fused_traceback(

@@ -146,12 +146,6 @@ class MultiresolutionViterbiDecoder(ViterbiDecoder):
             is not None
         )
 
-    def compiled_forward(self) -> bool:
-        """Never: the M-set and N-best ranking follow numpy's unstable
-        sort on ties, so this forward pass stays in numpy (only the
-        trace-back is compiled)."""
-        return False
-
     def _forward_fused(
         self, received: np.ndarray, sigma: Optional[float]
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -174,9 +168,10 @@ class MultiresolutionViterbiDecoder(ViterbiDecoder):
         different decoder: in the second Table 3 search at
         ``max_resolution=1`` it changes the measured BER of 14 of 163
         evaluations (the winner stays), while ``tests/test_golden.py``
-        still passes.  This is also why a compiled add-compare-select
-        loop cannot match this loop bit for bit unless it calls numpy's
-        selection every step.
+        still passes.  This is also why the compiled step of the fused
+        kernel (``acs_multires_step`` in ``acs.c``) leaves the ranking
+        to numpy: each step its Python loop calls ``argpartition`` and
+        ``argsort`` on the C step's metrics, and C does the rest.
         """
         n_frames, n_steps, _ = received.shape
         low_levels = self.low_quantizer.quantize(received, sigma)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,8 @@ from pathlib import Path
 import pytest
 
 import repro
-from repro.cli import build_parser, main
+from repro.cli import EXIT_BROKEN_PIPE, build_parser, main
+from repro.resilience import CampaignResult
 
 
 class TestParser:
@@ -412,3 +414,57 @@ class TestResilienceEndToEnd:
         assert code == 0, out
         assert "(1 restored, " in out
         assert self._winner(out) == uninterrupted
+
+
+class TestClosedPipe:
+    """A reader that stops early (``metacores ... | head -1``) ends the
+    command quietly: no traceback, and its result file is written."""
+
+    CAMPAIGN = [
+        "inject-campaign", "--k", "3", "--q", "hard", "--rates", "2e-3",
+        "--targets", "traceback", "--snr", "2.0", "--bits", "2048",
+    ]
+
+    @staticmethod
+    def _start(out: Path, unbuffered: bool) -> subprocess.Popen:
+        env = {**os.environ, "PYTHONPATH": SRC}
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        return subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", *TestClosedPipe.CAMPAIGN,
+             "--out", str(out)],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+
+    @staticmethod
+    def _assert_quiet(stderr: bytes, out: Path) -> None:
+        text = stderr.decode(errors="replace")
+        assert "Traceback" not in text and "BrokenPipe" not in text, text
+        assert CampaignResult.load(out).cells
+
+    @pytest.mark.skipif(shutil.which("head") is None, reason="no head(1)")
+    def test_head_one(self, tmp_path):
+        """Whether ``head`` exits before the command's next write is a
+        race, so the command may also finish normally."""
+        out = tmp_path / "camp.json"
+        cli = self._start(out, unbuffered=True)
+        head = subprocess.run(
+            ["head", "-1"], stdin=cli.stdout, stdout=subprocess.PIPE,
+            timeout=300,
+        )
+        cli.stdout.close()
+        _, stderr = cli.communicate(timeout=300)
+        assert head.stdout.decode().startswith("=" * 20)
+        assert cli.returncode in (0, EXIT_BROKEN_PIPE)
+        self._assert_quiet(stderr, out)
+
+    @pytest.mark.parametrize("unbuffered", [True, False])
+    def test_reader_gone_before_any_output(self, tmp_path, unbuffered):
+        """The first write, by ``print`` or by the final flush, fails."""
+        out = tmp_path / "camp.json"
+        cli = self._start(out, unbuffered)
+        cli.stdout.close()
+        _, stderr = cli.communicate(timeout=300)
+        assert cli.returncode == EXIT_BROKEN_PIPE
+        self._assert_quiet(stderr, out)

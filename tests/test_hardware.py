@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -255,12 +256,14 @@ _DIFF_FEATURES = (0.18, 0.25, 0.35)
 
 
 class TestOptimizerMatchesEnumeration:
-    """The pruned optimizer returns exactly what full enumeration did."""
+    """The vectorised optimizer returns exactly what full enumeration
+    did: the same machine, area, throughput and cycles, or the same
+    ``SynthesisError`` text."""
 
-    def _assert_matches(self, program, needs_mults=None):
+    def _assert_matches(self, program, needs_mults=None, features=_DIFF_FEATURES):
         mults = program.op_counts.mult > 0 if needs_mults is None else needs_mults
         outcomes = set()
-        for feature_um in _DIFF_FEATURES:
+        for feature_um in features:
             estimates = _enumerated_machines(program, feature_um, mults)
             for target in _DIFF_TARGETS:
                 expected = _outcome(
@@ -297,7 +300,46 @@ class TestOptimizerMatchesEnumeration:
         self._assert_matches(viterbi_program(multires))
         self._assert_matches(_mult_program())
 
-    def test_probes_at_most_one_bisection_per_column(self, monkeypatch):
+    @pytest.mark.parametrize("feature_um", (0.13, 0.5, 0.8))
+    def test_other_feature_sizes(self, feature_um):
+        for params in (
+            ViterbiInstanceParams(3, 15, 1),
+            ViterbiInstanceParams(7, 35, 3, 2, 5, 8, 1),
+        ):
+            self._assert_matches(viterbi_program(params), features=(feature_um,))
+        self._assert_matches(_mult_program(), features=(feature_um,))
+
+    @pytest.mark.parametrize("live_words", (40, 100, 300))
+    def test_register_spills(self, live_words):
+        """Live words above some register-file choices (40, 100) or all
+        of them (300) add a spill level to those columns only."""
+        spilled = [r for r in REGFILE_CHOICES if live_words > r]
+        assert spilled
+        for program in (
+            _mult_program(),
+            viterbi_program(ViterbiInstanceParams(5, 25, 2)),
+        ):
+            program.live_words = live_words
+            self._assert_matches(program)
+
+    def test_mult_program_denied_multipliers(self):
+        """Every machine without a multiplier prices a multiply level at
+        infinite cycles, so nothing is feasible."""
+        program = _mult_program()
+        assert self._assert_matches(program, needs_mults=False) == {True}
+
+    def test_infeasible_target_message(self):
+        program = viterbi_program(ViterbiInstanceParams(9, 63, 4))
+        with pytest.raises(SynthesisError) as info:
+            optimize_machine(program, 5e7)
+        assert str(info.value) == (
+            "viterbi_K9: no machine with <= 32 ALUs reaches "
+            "5e+07 items/s at 0.25 um"
+        )
+
+    def test_evaluates_only_column_minima(self, monkeypatch):
+        """One ``evaluate_machine`` call per feasible (ports, multipliers,
+        register file) column, on its fewest feasible ALUs."""
         calls = []
         original = vliw.evaluate_machine
 
@@ -308,8 +350,60 @@ class TestOptimizerMatchesEnumeration:
         monkeypatch.setattr(vliw, "evaluate_machine", counting)
         program = viterbi_program(ViterbiInstanceParams(7, 35, 3))
         optimize_machine(program, 2e6)
-        columns = MAX_MEM_PORTS * len(REGFILE_CHOICES)
-        assert len(calls) <= columns * (1 + math.ceil(math.log2(MAX_ALUS))) == 144
+        columns = {
+            (m.n_mem_ports, m.n_mults, m.regfile_words) for m in calls
+        }
+        assert 0 < len(calls) == len(columns) <= (
+            MAX_MEM_PORTS * len(REGFILE_CHOICES)
+        )
+        for machine in calls:
+            assert original(program, machine).throughput_bps >= 2e6
+            if machine.n_alus > 1:
+                fewer = dataclasses.replace(machine, n_alus=machine.n_alus - 1)
+                assert original(program, fewer).throughput_bps < 2e6
+
+
+def _slot_bound_program() -> LeveledProgram:
+    """Levels where the issue-width bound, an empty level and a spill
+    level each set the cycle count on some machines."""
+    program = LeveledProgram(name="slots", live_words=100)
+    program.add_level("wide", alu=4, load=1, branch=1)
+    program.add_level("empty")
+    program.add_level("mixed", alu=9, mult=3, store=2, branch=1)
+    return program
+
+
+class TestColumnCycles:
+    """The optimizer's vector schedule prices every machine exactly as
+    :func:`schedule` does, including infinite cycles for a multiply
+    level without multipliers."""
+
+    @pytest.mark.parametrize(
+        "make_program",
+        [
+            _mult_program,
+            _slot_bound_program,
+            lambda: viterbi_program(ViterbiInstanceParams(7, 35, 3, 2, 5, 8, 1)),
+        ],
+        ids=["fir", "slots", "viterbi_K7"],
+    )
+    def test_every_machine_matches_schedule(self, make_program):
+        program = make_program()
+        columns = list(
+            itertools.product(
+                range(1, MAX_MEM_PORTS + 1), range(MAX_MULTS + 1),
+                REGFILE_CHOICES,
+            )
+        )
+        cycles = vliw._column_cycles(program, columns)
+        assert cycles.shape == (len(columns), MAX_ALUS)
+        for (ports, mults, regfile), row in zip(columns, cycles):
+            for n_alus, value in enumerate(row, start=1):
+                machine = MachineConfig(
+                    n_alus=n_alus, n_mem_ports=ports, n_mults=mults,
+                    regfile_words=regfile,
+                )
+                assert value == schedule(program, machine).cycles
 
 
 class TestViterbiTrace:

@@ -57,6 +57,11 @@ from repro.viterbi.metrics import MAX_COMBO_LUT_ENTRIES
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
+#: Every function ``acs.c`` exports to the loader.
+NATIVE_SYMBOLS = (
+    b"acs_forward", b"acs_traceback", b"acs_multires_step", b"acs_row_means",
+)
+
 
 @contextlib.contextmanager
 def numpy_loops():
@@ -331,7 +336,9 @@ class TestFusedMultiresolution:
 #: shapes the search decodes (the selection is every state); a 1-bit
 #: low quantizer makes many accumulated metrics tie.  N >= 8 rows matter
 #: because numpy sums 8 or more terms pairwise, so only they catch a
-#: correction mean reduced over a different axis than the reference's.
+#: correction mean reduced over a different axis than the reference's,
+#: or a compiled mean adding its terms in another order; N = 64 sums
+#: eight accumulators over eight rounds.
 MULTIRES_CASES = [
     (3, 4, 1, "scale-offset", 32, 96, 1, 0.0),
     (3, 4, 1, "scale-offset", 256, 48, 1, 0.0),
@@ -343,6 +350,7 @@ MULTIRES_CASES = [
     (5, 16, 16, "scale-offset", 16, 64, 1, 0.1),
     (7, 16, 9, "scale-offset", 12, 64, 1, 0.0),
     (7, 64, 16, "scale-offset", 12, 64, 1, 0.0),
+    (7, 64, 64, "scale-offset", 12, 64, 1, 0.0),
 ]
 
 
@@ -386,6 +394,89 @@ class TestFusedMultiresolutionShapes:
             _assert_identical_decode(fused, reference, received, sigma=0.8)
 
         acs_loops(case)
+
+
+class TestSelectionOrder:
+    """Every loop follows the order numpy's selection hands back, not
+    a sorted one: with ``np.argpartition`` patched to reverse its M-set
+    (still a valid partition), the compiled and numpy fused loops still
+    equal the reference.  On hosts whose ``argpartition`` happens to
+    return the M-set sorted, this is the only check that the N best
+    are read through the ranking."""
+
+    @pytest.mark.parametrize("n", [1, 3])
+    def test_reversed_partition(self, monkeypatch, n, acs_loops):
+        argpartition = np.argpartition
+
+        def reversed_partition(a, kth, axis=-1, **kwargs):
+            index = argpartition(a, kth, axis=axis, **kwargs)
+            head = [slice(None)] * index.ndim
+            head[axis] = slice(0, kth + 1)
+            index[tuple(head)] = np.flip(index[tuple(head)], axis=axis)
+            return index
+
+        monkeypatch.setattr(np, "argpartition", reversed_partition)
+        trellis = Trellis.from_encoder(ConvolutionalEncoder(5))
+        fused, reference = _pair(
+            MultiresolutionViterbiDecoder, trellis, AdaptiveQuantizer(2),
+            AdaptiveQuantizer(4), 25, 8, normalization_count=n,
+        )
+        rng = np.random.default_rng(31 + n)
+        received = _received(rng, 16, 64, trellis.n_symbols)
+        acs_loops(
+            lambda: _assert_identical_decode(
+                fused, reference, received, sigma=0.8
+            )
+        )
+
+
+class TestCorrectionMean:
+    """The compiled correction averages a frame's N terms exactly as
+    ``ndarray.mean(axis=1)`` does on a contiguous row: add's identity
+    plus numpy's pairwise sum, over N; compared byte for byte."""
+
+    @pytest.fixture
+    def row_means(self):
+        lib = kernels.native_library()
+        if lib is None:
+            pytest.skip("compiled loops unavailable")
+
+        def means(terms):
+            terms = np.ascontiguousarray(terms, dtype=np.float64)
+            out = np.empty(terms.shape[0])
+            lib.acs_row_means(
+                terms.shape[0], terms.shape[1],
+                kernels._ptr(terms), kernels._ptr(out),
+            )
+            return out
+
+        return means
+
+    @pytest.mark.parametrize(
+        "n", [1, 2, 7, 8, 9, 15, 16, 17, 63, 64, 65, 128, 129, 200, 300]
+    )
+    def test_pairwise_order(self, row_means, n):
+        """Terms spanning 16 decades, so any other order of the adds
+        rounds differently (below 8, from 8 to 128 and past 128 terms)."""
+        rng = np.random.default_rng(n)
+        terms = rng.normal(size=(64, n)) * 10.0 ** rng.integers(
+            -8, 9, size=(64, n)
+        )
+        assert row_means(terms).tobytes() == terms.mean(axis=1).tobytes()
+
+    @pytest.mark.parametrize("n", [1, 3, 8, 9, 64])
+    def test_signed_zeros(self, row_means, n):
+        rows = np.array(
+            [
+                np.full(n, -0.0),
+                np.full(n, 0.0),
+                np.resize([-0.0, 0.0], n),
+                np.resize([0.0, -0.0], n),
+                np.resize([-0.0, 1.5, -1.5], n),
+            ]
+        )
+        expected = rows.mean(axis=1)
+        assert row_means(rows).tobytes() == expected.tobytes()
 
 
 class TestEmptyBatches:
@@ -564,9 +655,8 @@ class TestAdaptiveBatching:
         self, encoder_k3, trellis_k3, tmp_path, acs_loops
     ):
         """Counters, the ``ber.measure`` span and trace-report's kernel
-        line also say whether the forward pass ran compiled: for the
-        classic decoder when the library loaded, for the multiresolution
-        decoder (numpy forward, compiled trace-back only) never."""
+        line also say whether the forward pass ran compiled: for both
+        decoders exactly when the library loaded."""
         registry = get_registry()
         sim = BERSimulator(encoder_k3, frame_length=128, frames_per_batch=8)
         decoders = [
@@ -611,7 +701,8 @@ class TestAdaptiveBatching:
             classic, multires = decoders
             measure(classic, kernels.native_loaded())
             assert classic.compiled_forward() is kernels.native_loaded()
-            measure(multires, False)
+            measure(multires, kernels.native_loaded())
+            assert multires.compiled_forward() is kernels.native_loaded()
 
         ran = acs_loops(case)
         assert ran[-1] == "numpy"
@@ -663,6 +754,19 @@ def _decode_case():
     return fused, reference, received
 
 
+def _multires_decode_case():
+    """A K=5 multiresolution pair (M < states, N = 3) and a batch with
+    erasures."""
+    trellis = Trellis.from_encoder(ConvolutionalEncoder(5))
+    fused, reference = _pair(
+        MultiresolutionViterbiDecoder, trellis, AdaptiveQuantizer(1),
+        AdaptiveQuantizer(3), 25, 8, normalization_count=3,
+    )
+    rng = np.random.default_rng(78)
+    received = _received(rng, 8, 120, trellis.n_symbols, erasure_rate=0.1)
+    return fused, reference, received
+
+
 RACE_SCRIPT = """
 import hashlib
 import numpy as np
@@ -690,9 +794,14 @@ class TestNativeLoader:
         return tmp_path / "cache" / "repro"
 
     def _assert_numpy_fallback(self):
+        """Both forward passes run their numpy loops, bit-identically."""
         assert kernels.native_library() is None
         assert not kernels.native_loaded()
         fused, reference, received = _decode_case()
+        assert not fused.compiled_forward()
+        _assert_identical_decode(fused, reference, received, sigma=0.8)
+        fused, reference, received = _multires_decode_case()
+        assert not fused.compiled_forward()
         _assert_identical_decode(fused, reference, received, sigma=0.8)
 
     def test_no_compiler_on_path(self, fresh_loader, monkeypatch, tmp_path):
@@ -751,11 +860,42 @@ class TestNativeLoader:
         self._assert_numpy_fallback()
 
     def test_library_without_the_symbols(self, fresh_loader, monkeypatch):
+        """A library lacking any one of the loops falls back entirely,
+        so no decode mixes a compiled pass with a missing one."""
         if shutil.which("cc") is None:
             pytest.skip("no C compiler on PATH")
         unrelated = b"int unrelated(void) { return 0; }\n"
-        monkeypatch.setattr(kernels, "native_source", lambda: unrelated)
-        self._assert_numpy_fallback()
+        sources = [unrelated] + [
+            b"".join(
+                b"void %s(void) {}\n" % name
+                for name in NATIVE_SYMBOLS if name != missing
+            )
+            for missing in NATIVE_SYMBOLS
+        ]
+        for source in sources:
+            monkeypatch.setattr(kernels, "_native", kernels._UNLOADED)
+            monkeypatch.setattr(kernels, "native_source", lambda: source)
+            self._assert_numpy_fallback()
+
+    def test_source_edit_changes_the_cache_key(
+        self, fresh_loader, monkeypatch
+    ):
+        """An edited ``acs.c`` builds a library of its own; until then
+        each decode loads the cached build."""
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler on PATH")
+        assert kernels.native_library() is not None
+        (built,) = fresh_loader.iterdir()
+        monkeypatch.setattr(kernels, "_native", kernels._UNLOADED)
+        assert kernels.native_library() is not None
+        assert list(fresh_loader.iterdir()) == [built]
+        edited = kernels.native_source() + b"\n/* edited */\n"
+        monkeypatch.setattr(kernels, "native_source", lambda: edited)
+        monkeypatch.setattr(kernels, "_native", kernels._UNLOADED)
+        assert kernels.native_library() is not None
+        assert len(list(fresh_loader.iterdir())) == 2
+        fused, reference, received = _multires_decode_case()
+        _assert_identical_decode(fused, reference, received, sigma=0.8)
 
     def test_portable_loop_without_sse2(self, fresh_loader, monkeypatch):
         """The scalar loop that hosts without SSE2 run, over whole
@@ -824,7 +964,8 @@ class TestNativeLoader:
         source = kernels.native_source()
         on_disk = (SRC / "repro" / "viterbi" / "acs.c").read_bytes()
         assert source == on_disk
-        assert b"acs_forward" in source and b"acs_traceback" in source
+        for name in NATIVE_SYMBOLS:
+            assert name in source
         pyproject = (SRC.parent / "pyproject.toml").read_text()
         assert "[tool.setuptools.package-data]" in pyproject
         assert '"repro.viterbi" = ["acs.c"]' in pyproject

@@ -42,6 +42,7 @@ from repro.power import (
     technology_node,
 )
 from repro.viterbi.metacore import (
+    VITERBI_DEFINITION,
     ViterbiMetaCore,
     ViterbiMetacoreEvaluator,
     ViterbiSpec,
@@ -385,6 +386,68 @@ class TestEndToEnd:
         assert recommendation.feasible
         assert recommendation.n_evaluations == 0
         assert recommendation.metrics["energy_nj_per_bit"] <= cap
+
+
+class TestCommandLineSpec:
+    """The power-aware searches of the command line's Table 3 example
+    (``viterbi-search --ber 5e-2 --es-n0-db 4.0 --throughput 1e6
+    --max-resolution 1 --top-k 1``, with and without ``--power``), run
+    in-process on their result objects with the command line's pinned
+    parameters."""
+
+    CONFIG = SearchConfig(max_resolution=1, refine_top_k=1)
+
+    @classmethod
+    def _facade(cls, power, atlas_path=None):
+        spec = ViterbiSpec(
+            1e6, BERThresholdCurve.single(4.0, 5e-2), power=power
+        )
+        return ViterbiMetaCore(
+            spec,
+            fixed=dict(VITERBI_DEFINITION.default_fixed),
+            config=cls.CONFIG,
+            atlas_path=atlas_path,
+        )
+
+    @pytest.fixture(scope="class")
+    def searches(self):
+        """``viterbi-search`` without ``--power``, then with ``--power
+        --max-energy-nj 10``."""
+        off = self._facade(None).search()
+        on = self._facade(PowerConfig(max_energy_nj=10)).search()
+        return off, on
+
+    def test_power_off_prices_no_energy(self, searches):
+        off, _ = searches
+        assert off.feasible
+        assert off.best_point is not None
+        assert not [
+            key for key in off.best_metrics
+            if "energy" in key or key == "power_mw"
+        ]
+
+    def test_energy_capped_search_keeps_the_winner(self, searches):
+        off, on = searches
+        assert on.feasible
+        assert on.best_point == off.best_point
+        assert 0 < on.best_metrics["energy_nj_per_bit"] <= 10
+        assert on.best_metrics["power_mw"] > 0
+
+    def test_swept_atlas_answers_recommend_without_evaluating(self, tmp_path):
+        """``sweep --power --specs 5e-2:1e6``, then ``recommend --power
+        --constraint energy_nj_per_bit=10`` on the same atlas."""
+        atlas = str(tmp_path / "atlas.jsonl")
+        prototype = self._facade(PowerConfig(), atlas)
+        outcome = prototype.sweep([prototype.spec])
+        assert outcome.atlas_stats["scenarios"] == 1
+        assert outcome.atlas_stats["records"] >= 1
+        recommendation = self._facade(PowerConfig(), atlas).recommend(
+            {"energy_nj_per_bit": 10}
+        )
+        assert recommendation.source == "atlas"
+        assert recommendation.n_evaluations == 0
+        assert recommendation.feasible
+        assert 0 < recommendation.metrics["energy_nj_per_bit"] <= 10
 
 
 class TestWirePayloads:

@@ -636,8 +636,8 @@ def _leveled_programs(draw):
 
 
 class TestMachineModelProperties:
-    """``optimize_machine`` bisects each (memory ports, multipliers,
-    register file) column over the ALU count.  That is exact only if
+    """``optimize_machine`` takes each (memory ports, multipliers,
+    register file) column's fewest feasible ALUs.  That is exact only if
     adding any resource never costs cycles and adding an ALU always
     costs area."""
 
