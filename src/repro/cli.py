@@ -123,9 +123,10 @@ def _add_kernel_arg(parser: argparse.ArgumentParser) -> None:
         "--kernel",
         choices=("fused", "reference"),
         default="fused",
-        help="decode kernel used by Viterbi cost evaluation: the fused "
-        "lookup-table kernels (default) or the step-by-step reference "
-        "loop; results are bit-identical, only wall-clock differs",
+        help="decode kernel used by Viterbi cost evaluation: the compiled "
+        "loops (default; the reference loop where no C compiler builds "
+        "them) or the step-by-step reference loop; results are "
+        "bit-identical, only wall-clock differs",
     )
 
 

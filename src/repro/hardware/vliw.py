@@ -110,10 +110,6 @@ class ScheduleResult:
     spill_ops: float
     level_cycles: Tuple[float, ...]
 
-    @property
-    def cycles_per_iteration(self) -> float:
-        return self.cycles
-
 
 def _level_cycles(counts: OperationCounts, machine: MachineConfig) -> float:
     """Cycles to drain one level on the machine (resource bound)."""

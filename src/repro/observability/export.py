@@ -280,12 +280,10 @@ def format_trace_report(summary: TraceSummary) -> str:
         frames = summary.counter_value(f"ber.kernel.{kernel}.frames")
         steps = summary.counter_value(f"ber.kernel.{kernel}.steps")
         decode_s = summary.counter_value(f"ber.kernel.{kernel}.decode_s")
-        native = summary.counter_value(f"ber.kernel.{kernel}.native_frames")
         steps_per_s = steps / decode_s if decode_s > 0 else 0.0
         lines.append(
             f"kernel: {kernel} — {int(frames)} frames decoded in "
-            f"{decode_s:.3f}s ({steps_per_s / 1e3:.1f}k trellis steps/s), "
-            f"{int(native)} with the compiled forward pass"
+            f"{decode_s:.3f}s ({steps_per_s / 1e3:.1f}k trellis steps/s)"
         )
     power_priced = summary.counter_value("power.priced")
     if power_priced:

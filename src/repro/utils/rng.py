@@ -10,7 +10,7 @@ independent sub-streams from a single master seed.
 from __future__ import annotations
 
 import hashlib
-from typing import Optional, Union
+from typing import Union
 
 import numpy as np
 
@@ -46,8 +46,3 @@ def derive_seed(master: int, *labels: object) -> int:
 def spawn_rng(master: int, *labels: object) -> np.random.Generator:
     """Shorthand for ``make_rng(derive_seed(master, *labels))``."""
     return make_rng(derive_seed(master, *labels))
-
-
-def ensure_seed(seed: Optional[int], default: int) -> int:
-    """Return ``seed`` if given, otherwise ``default``."""
-    return default if seed is None else int(seed)

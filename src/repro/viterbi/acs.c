@@ -3,9 +3,10 @@
  * kernels (see kernels.py, which builds this file with the system C
  * compiler and loads it with ctypes).
  *
- * Every loop is bit-identical to the numpy loop it replaces:
+ * Every loop is bit-identical to the reference loops of decoder.py and
+ * multires.py, which run wherever this file cannot be built:
  *
- * - acs_forward is fused_forward's step, operation for operation: the
+ * - acs_forward is the reference forward step, operation for operation: the
  *   candidate c = acc[pred] + metric is one double add, slot 1 wins
  *   only when strictly smaller (np.argmin's first-index rule), the best
  *   state is the first index of the minimum, and the renormalisation

@@ -234,10 +234,7 @@ class BERSimulator:
         # hooked decoder (even an inert one, conservatively) always
         # simulates batch-at-a-time.
         adaptive = self.adaptive_batching and hook is None
-        if hook is None or not getattr(hook, "active", True):
-            kernel_name = decoder.active_kernel()
-        else:
-            kernel_name = "reference"
+        kernel_name = decoder.active_kernel()
         max_group = max(1, self.max_batch_frames // self.frames_per_batch)
         batch_bits = self.frames_per_batch * self.frame_length
         total_errors = 0
@@ -321,13 +318,8 @@ class BERSimulator:
             registry.counter("ber.decoded_frames").inc(decoded_frames)
             registry.counter("ber.decode_s").inc(decode_s)
             registry.counter("ber.trellis_steps").inc(trellis_steps)
-            # Whether the forward pass, the bulk of a decode, ran compiled
-            # (the first fused decode above builds or loads the library).
-            native = kernel_name == "fused" and decoder.compiled_forward()
             prefix = f"ber.kernel.{kernel_name}"
             registry.counter(prefix + ".frames").inc(decoded_frames)
-            if native:
-                registry.counter(prefix + ".native_frames").inc(decoded_frames)
             registry.counter(prefix + ".steps").inc(trellis_steps)
             registry.counter(prefix + ".decode_s").inc(decode_s)
             frames_per_sec = (
@@ -341,7 +333,6 @@ class BERSimulator:
                 errors=total_errors,
                 early_stop=early_stop,
                 kernel=kernel_name,
-                native=native,
                 decoded_frames=decoded_frames,
                 frames_per_sec=round(frames_per_sec, 3),
             )

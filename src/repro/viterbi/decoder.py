@@ -45,11 +45,11 @@ class ViterbiDecoder:
         state before a bit is emitted.  The paper searches multiples of
         ``K`` and observes depths beyond ``7K`` stop improving BER.
     kernel:
-        ``"fused"`` (default) uses the precomputed-lookup kernels of
-        :mod:`repro.viterbi.kernels` whenever no fault hook is attached;
-        ``"reference"`` always runs the step-by-step loop.  Both produce
-        bit-identical outputs — the switch exists for A/B debugging and
-        benchmarking, and deliberately does not appear in
+        ``"fused"`` (default) runs the compiled loops of
+        :mod:`repro.viterbi.kernels` whenever :meth:`active_kernel`
+        allows; ``"reference"`` always runs the step-by-step loop.  Both
+        produce bit-identical outputs — the switch exists for A/B
+        debugging and benchmarking, and deliberately does not appear in
         :meth:`describe` (same decoder, same results, same seeds).
     """
 
@@ -91,24 +91,26 @@ class ViterbiDecoder:
         return self.metric_table.combo_lut() is not None
 
     def active_kernel(self) -> str:
-        """The kernel a hook-free decode would take right now.
+        """The loops the next decode runs: ``"fused"`` or ``"reference"``.
 
-        ``"fused"`` degrades to ``"reference"`` when the metric table is
-        too large to precompute; an attached *active* fault hook also
-        forces the reference loop, but that is a per-decode condition
-        not reflected here.
+        ``"fused"`` means the compiled ``acs.c`` loops of
+        :mod:`repro.viterbi.kernels`.  A fused decoder runs the
+        reference loops instead when an active fault hook is attached,
+        when the metric tables are too large to precompute, or when the
+        library does not load (no ``cc``; the first call builds or loads
+        it).  The forward pass, the trace-back and the BER simulator's
+        kernel label all follow this one answer, so a decode runs
+        entirely compiled or entirely on the reference loops.
         """
-        if self.kernel == "fused" and self._fused_available():
+        hook = self.fault_hook
+        if (
+            self.kernel == "fused"
+            and (hook is None or not getattr(hook, "active", True))
+            and self._fused_available()
+            and kernels.native_library() is not None
+        ):
             return "fused"
         return "reference"
-
-    def compiled_forward(self) -> bool:
-        """Whether a fused forward pass runs the compiled ``acs.c`` loop.
-
-        True once a fused decode has loaded the library; never triggers
-        a build.
-        """
-        return kernels.native_loaded()
 
     def _forward(
         self, received: np.ndarray, sigma: Optional[float]
@@ -122,23 +124,19 @@ class ViterbiDecoder:
         ``(steps, frames)`` holding the state with the smallest
         accumulated error after each step.
 
-        Dispatches to the fused kernel when it is selected, available,
-        and no active fault hook needs the step-by-step loop; the two
-        paths are bit-identical (tested exhaustively), so which one ran
-        is unobservable from the outputs.
+        Runs the compiled loop when :meth:`active_kernel` says so; the
+        two paths are bit-identical (tested exhaustively), so which one
+        ran is unobservable from the outputs.
         """
-        hook = self.fault_hook
-        if (
-            (hook is None or not getattr(hook, "active", True))
-            and self.kernel == "fused"
-            and self._fused_available()
-        ):
-            return self._forward_fused(received, sigma)
+        if self.active_kernel() == "fused":
+            out = self._forward_fused(received, sigma)
+            if out is not None:
+                return out
         return self._forward_reference(received, sigma)
 
     def _forward_fused(
         self, received: np.ndarray, sigma: Optional[float]
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         return kernels.fused_forward(self, received, sigma)
 
     def _forward_reference(
@@ -187,20 +185,15 @@ class ViterbiDecoder:
     def _traceback(
         self, decisions: np.ndarray, best: np.ndarray
     ) -> np.ndarray:
-        """Dispatch trace-back to the fused or reference implementation.
+        """Dispatch trace-back to the compiled or reference walk.
 
-        Mirrors the :meth:`_forward` dispatch so one decode runs either
-        entirely fused or entirely on the reference path; the two
-        trace-backs walk identical survivor branches and return
-        identical bits.
+        Mirrors the :meth:`_forward` dispatch; the two trace-backs walk
+        identical survivor branches and return identical bits.
         """
-        hook = self.fault_hook
-        if (
-            (hook is None or not getattr(hook, "active", True))
-            and self.kernel == "fused"
-            and self._fused_available()
-        ):
-            return kernels.fused_traceback(self, decisions, best)
+        if self.active_kernel() == "fused":
+            bits = kernels.fused_traceback(self, decisions, best)
+            if bits is not None:
+                return bits
         return self._traceback_reference(decisions, best)
 
     def _traceback_reference(

@@ -148,7 +148,7 @@ class MultiresolutionViterbiDecoder(ViterbiDecoder):
 
     def _forward_fused(
         self, received: np.ndarray, sigma: Optional[float]
-    ) -> Tuple[np.ndarray, np.ndarray]:
+    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
         return kernels.fused_forward_multires(self, received, sigma)
 
     def _forward_reference(

@@ -6,8 +6,12 @@ import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -327,6 +331,184 @@ class TestServeEndToEnd:
                 server.stdout.close()
         # No serve process, nor a pool worker forked from one, survives.
         assert _processes_mentioning(str(cache)) in ([], None)
+
+
+def _wait_for(predicate, timeout_s: float, what: str):
+    """Poll ``predicate`` until it returns something truthy; fail the
+    test when ``timeout_s`` runs out first."""
+    deadline = time.monotonic() + timeout_s
+    while True:
+        value = predicate()
+        if value:
+            return value
+        if time.monotonic() > deadline:
+            pytest.fail(f"gave up after {timeout_s:g} s waiting for {what}")
+        time.sleep(0.1)
+
+
+class TestClusterEndToEnd:
+    """Two ``metacores serve`` replicas behind ``metacores cluster``, each
+    a separate process on a unix socket, driven through the router with
+    :class:`~repro.serve.ServeClient` so every check reads returned
+    dicts: one owner per search, a burst that survives SIGKILL of that
+    owner, its restart on the same cache file answering the warm search,
+    and no process left after shutdown."""
+
+    #: The flags of every request: the job the spec describes is the
+    #: one ``metacores client`` would send for them.
+    SPEC = [
+        "--metacore", "viterbi", "--ber", "5e-2", "--es-n0-db", "4.0",
+        "--throughput", "1e6",
+    ]
+    CONFIG = {"max_resolution": 1, "refine_top_k": 1}
+
+    @staticmethod
+    def _pings(socket_path: Path) -> bool:
+        from repro.serve import ServeClient, ServeConnectionError
+
+        try:
+            with ServeClient(
+                unix_path=str(socket_path), timeout_s=5.0, max_retries=0
+            ) as client:
+                client.ping()
+            return True
+        except ServeConnectionError:
+            return False
+
+    def _start(self, procs, logs: Path, name: str, *args: str):
+        """Start ``python -m repro.cli <args>``, output to ``logs/name``."""
+        with open(logs / f"{name}.log", "a") as log:
+            proc = subprocess.Popen(
+                [sys.executable, "-m", "repro.cli", *args],
+                stdout=log, stderr=subprocess.STDOUT,
+                env={**os.environ, "PYTHONPATH": SRC},
+            )
+        procs.append(proc)
+        return proc
+
+    def _wait_serving(self, proc, socket_path: Path, logs: Path, name: str):
+        def up():
+            if proc.poll() is not None:
+                pytest.fail(
+                    f"{name} exited ({proc.returncode}):\n"
+                    + (logs / f"{name}.log").read_text()
+                )
+            return self._pings(socket_path)
+
+        _wait_for(up, 60, f"{name} on {socket_path}")
+
+    def test_owner_killed_mid_burst_then_warm_restart(self, tmp_path):
+        from repro.core.metacore import metacore_definition
+        from repro.serve import ServeClient, spec_to_payload
+
+        definition = metacore_definition("viterbi")
+        args = build_parser().parse_args(
+            ["client", "eval", *self.SPEC, "--k", "3", "--q", "hard"]
+        )
+        spec = spec_to_payload(definition.spec_from_args(args, None))
+        point = definition.point_from_args(args)
+        # Unix socket paths are short (about 100 bytes): not in tmp_path.
+        sockets = Path(tempfile.mkdtemp(prefix="metacores-"))
+        router_sock = sockets / "router.sock"
+        replica_socks = [sockets / f"r{i}.sock" for i in range(2)]
+        procs = []
+
+        def serve(i: int):
+            name = f"r{i}"
+            proc = self._start(
+                procs, tmp_path, name, "serve",
+                "--unix", str(replica_socks[i]), "--node-id", name,
+                "--cache", str(tmp_path / f"c{i}.jsonl"), "--workers", "2",
+            )
+            self._wait_serving(proc, replica_socks[i], tmp_path, name)
+            return proc
+
+        try:
+            replicas = [serve(0), serve(1)]
+            router = self._start(
+                procs, tmp_path, "router", "cluster",
+                "--unix", str(router_sock),
+                *(f"--replica=unix:{path}" for path in replica_socks),
+                "--probe-interval-ms", "200", "--eject-after", "2",
+                "--hedge-ms", "0",
+            )
+            self._wait_serving(router, router_sock, tmp_path, "router")
+            client = ServeClient(unix_path=str(router_sock), timeout_s=300.0)
+
+            # Cold search: exactly one replica owns it.
+            cold = client.search(spec=spec, config=self.CONFIG)
+            assert cold["feasible"] and cold["best_point"] is not None, cold
+            status = client.status()
+            assert status["router"] is True, status
+            assert status["n_replicas"] == 2, status
+            owners = [
+                row["name"] for row in status["replicas"]
+                if (row.get("status") or {}).get("searches", 0) > 0
+            ]
+            assert len(owners) == 1, status
+            owner = int(owners[0].rsplit("-", 1)[1])
+
+            # A 3-eval burst completes although the owner is SIGKILLed
+            # while it runs.
+            results = [None] * 3
+
+            def burst(i: int) -> None:
+                with ServeClient(
+                    unix_path=str(router_sock), timeout_s=300.0
+                ) as burst_client:
+                    results[i] = burst_client.eval(point, spec=spec)
+
+            threads = [
+                threading.Thread(target=burst, args=(i,)) for i in range(3)
+            ]
+            for thread in threads:
+                thread.start()
+            replicas[owner].send_signal(signal.SIGKILL)
+            for thread in threads:
+                thread.join(timeout=300)
+                assert not thread.is_alive(), "eval burst did not finish"
+            assert replicas[owner].wait(timeout=60) == -signal.SIGKILL
+            for metrics in results:
+                assert metrics is not None and "area_mm2" in metrics, results
+
+            # The owner restarts on its cache file; once the router
+            # reports it healthy, the warm search comes back to it and
+            # its persistent cache answers.
+            replica_socks[owner].unlink(missing_ok=True)
+            replicas[owner] = serve(owner)
+
+            def owner_healthy() -> bool:
+                rows = client.status()["replicas"]
+                return any(
+                    row["name"] == owners[0] and row["state"] == "healthy"
+                    for row in rows
+                )
+
+            _wait_for(owner_healthy, 30, f"{owners[0]} to rejoin")
+            warm = client.search(spec=spec, config=self.CONFIG)
+            assert warm["best_point"] == cold["best_point"], (cold, warm)
+            status = client.status()
+            assert status["persistent_hits"] > 0, status
+            assert status["cluster"]["cluster.requests"] > 0, status
+            client.close()
+
+            # Shutdown: both replicas on request, the router by SIGTERM.
+            for path in replica_socks:
+                with ServeClient(unix_path=str(path)) as replica_client:
+                    replica_client.shutdown()
+            router.terminate()
+            for proc in procs:
+                proc.wait(timeout=60)
+            _wait_for(
+                lambda: _processes_mentioning(str(sockets)) in ([], None),
+                30, "every cluster process to exit",
+            )
+        finally:
+            for proc in procs:
+                if proc.poll() is None:
+                    proc.kill()
+                    proc.wait(timeout=30)
+            shutil.rmtree(sockets, ignore_errors=True)
 
 
 class TestParallelCacheEndToEnd:

@@ -1,18 +1,20 @@
-"""Differential tests: fused decode kernels vs the reference loops.
+"""Differential tests: compiled decode kernels vs the reference loops.
 
-The fused kernels in :mod:`repro.viterbi.kernels` promise *bit-identical*
-outputs to the reference forward passes — same decisions, same survivor
-selections, same decoded bits, same final metrics.  These tests enforce
-that promise over randomized configurations (hypothesis), through the
-BER simulator's adaptive frame batching, and up through a whole search.
-The differential cases run twice through :func:`acs_loops`: once on the
-compiled ``acs.c`` loops and once with the loader forced to the numpy
-fallback, so both paths stay pinned to the reference.
+The compiled kernels in :mod:`repro.viterbi.kernels` promise
+*bit-identical* outputs to the reference forward passes — same
+decisions, same survivor selections, same decoded bits, same final
+metrics.  These tests enforce that promise over randomized
+configurations (hypothesis), through the BER simulator's adaptive frame
+batching, and up through a whole search.  The differential cases run
+on the compiled ``acs.c`` loops; on a host where the library does not
+load, fused decoders take the reference loops
+(:class:`TestNativeLoader` pins that fallback), and
+``test_compiler_on_path_means_native_loop`` fails a host with ``cc``
+that gets there.
 """
 
 from __future__ import annotations
 
-import contextlib
 import hashlib
 import os
 import pickle
@@ -63,36 +65,10 @@ NATIVE_SYMBOLS = (
 )
 
 
-@contextlib.contextmanager
-def numpy_loops():
-    """Force the numpy fallback by setting the loader's memo to None."""
-    saved = kernels._native
-    kernels._native = None
-    try:
-        yield
-    finally:
-        kernels._native = saved
-
-
-@pytest.fixture(scope="session")
-def acs_loops():
-    """Run a case on the compiled loops (when they load), then on numpy.
-
-    Session-scoped and stateless between calls, so hypothesis tests can
-    use it; returns the loops each case ran on.
-    """
-
-    def run(case):
-        ran = []
-        if kernels.native_library() is not None:
-            case()
-            ran.append("native")
-        with numpy_loops():
-            case()
-            ran.append("numpy")
-        return ran
-
-    return run
+def _fused_kernel() -> str:
+    """The loops a hook-free fused decoder runs on this host:
+    ``"fused"`` (compiled) when ``acs.c`` loads, else ``"reference"``."""
+    return "fused" if kernels.native_library() is not None else "reference"
 
 
 def _received(rng, n_frames, n_steps, n_symbols, erasure_rate=0.0):
@@ -209,27 +185,24 @@ class TestFusedSingleResolution:
     @pytest.mark.parametrize(
         "quantizer", [HardQuantizer(), AdaptiveQuantizer(2), FixedQuantizer(3, 1.5)]
     )
-    def test_bit_identical(self, k, quantizer, acs_loops):
+    def test_bit_identical(self, k, quantizer):
         trellis = Trellis.from_encoder(ConvolutionalEncoder(k))
         fused, reference = _pair(
             ViterbiDecoder, trellis, quantizer, 5 * k
         )
-        assert fused.active_kernel() == "fused"
+        assert fused.active_kernel() == _fused_kernel()
         rng = np.random.default_rng(100 + k)
         received = _received(rng, 6, 96, trellis.n_symbols, erasure_rate=0.15)
 
-        def case():
-            dec_f, best_f = fused._forward(received, 0.8)
-            dec_r, best_r = reference._forward(received, 0.8)
-            assert np.array_equal(dec_f, dec_r)
-            assert np.array_equal(best_f, best_r)
-            assert (
-                fused._final_metrics.tobytes()
-                == reference._final_metrics.tobytes()
-            )
-            _assert_identical_decode(fused, reference, received, sigma=0.8)
-
-        acs_loops(case)
+        dec_f, best_f = fused._forward(received, 0.8)
+        dec_r, best_r = reference._forward(received, 0.8)
+        assert np.array_equal(dec_f, dec_r)
+        assert np.array_equal(best_f, best_r)
+        assert (
+            fused._final_metrics.tobytes()
+            == reference._final_metrics.tobytes()
+        )
+        _assert_identical_decode(fused, reference, received, sigma=0.8)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -242,7 +215,7 @@ class TestFusedSingleResolution:
         seed=st.integers(min_value=0, max_value=2**31),
     )
     def test_differential_random_configs(
-        self, k, bits, depth, n_frames, n_steps, erasures, seed, acs_loops
+        self, k, bits, depth, n_frames, n_steps, erasures, seed
     ):
         trellis = Trellis.from_encoder(ConvolutionalEncoder(k))
         fused, reference = _pair(
@@ -250,26 +223,19 @@ class TestFusedSingleResolution:
         )
         rng = np.random.default_rng(seed)
         received = _received(rng, n_frames, n_steps, trellis.n_symbols, erasures)
-        acs_loops(
-            lambda: _assert_identical_decode(
-                fused, reference, received, sigma=0.9
-            )
-        )
+        _assert_identical_decode(fused, reference, received, sigma=0.9)
 
-    def test_tie_break_prefers_slot_zero(self, trellis_k3, acs_loops):
+    def test_tie_break_prefers_slot_zero(self, trellis_k3):
         """Equal candidate metrics must select predecessor slot 0."""
         fused, reference = _pair(ViterbiDecoder, trellis_k3, HardQuantizer(), 8)
         # All-zero received levels make every branch metric symmetric,
         # a tie factory for the compare-select.
         received = np.zeros((1, 24, trellis_k3.n_symbols))
 
-        def case():
-            dec_f, best_f = fused._forward(received, None)
-            dec_r, best_r = reference._forward(received, None)
-            assert np.array_equal(dec_f, dec_r)
-            assert np.array_equal(best_f, best_r)
-
-        acs_loops(case)
+        dec_f, best_f = fused._forward(received, None)
+        dec_r, best_r = reference._forward(received, None)
+        assert np.array_equal(dec_f, dec_r)
+        assert np.array_equal(best_f, best_r)
 
 
 class TestFusedMultiresolution:
@@ -287,7 +253,7 @@ class TestFusedMultiresolution:
     )
     def test_differential_random_configs(
         self, k, low_bits, extra_bits, paths, method, n_frames, n_steps,
-        erasures, seed, acs_loops,
+        erasures, seed,
     ):
         trellis = Trellis.from_encoder(ConvolutionalEncoder(k))
         m = {"one": 1, "half": max(1, trellis.n_states // 2),
@@ -302,16 +268,12 @@ class TestFusedMultiresolution:
             normalization_count=1,
             normalization_method=method,
         )
-        assert fused.active_kernel() == "fused"
+        assert fused.active_kernel() == _fused_kernel()
         rng = np.random.default_rng(seed)
         received = _received(rng, n_frames, n_steps, trellis.n_symbols, erasures)
-        acs_loops(
-            lambda: _assert_identical_decode(
-                fused, reference, received, sigma=0.9
-            )
-        )
+        _assert_identical_decode(fused, reference, received, sigma=0.9)
 
-    def test_normalization_count_above_one(self, trellis_k5, acs_loops):
+    def test_normalization_count_above_one(self, trellis_k5):
         fused, reference = _pair(
             MultiresolutionViterbiDecoder,
             trellis_k5,
@@ -324,11 +286,7 @@ class TestFusedMultiresolution:
         )
         rng = np.random.default_rng(21)
         received = _received(rng, 4, 80, trellis_k5.n_symbols, 0.1)
-        acs_loops(
-            lambda: _assert_identical_decode(
-                fused, reference, received, sigma=0.7
-            )
-        )
+        _assert_identical_decode(fused, reference, received, sigma=0.7)
 
 
 #: Deterministic multiresolution cases: (K, M, N, normalization, frames,
@@ -364,7 +322,6 @@ class TestFusedMultiresolutionShapes:
     )
     def test_bit_identical(
         self, k, m, n, method, n_frames, n_steps, low_bits, erasures,
-        acs_loops,
     ):
         trellis = Trellis.from_encoder(ConvolutionalEncoder(k))
         fused, reference = _pair(
@@ -377,35 +334,32 @@ class TestFusedMultiresolutionShapes:
             normalization_count=n,
             normalization_method=method,
         )
-        assert fused.active_kernel() == "fused"
+        assert fused.active_kernel() == _fused_kernel()
         rng = np.random.default_rng(1000 * k + 10 * m + n)
         received = _received(
             rng, n_frames, n_steps, trellis.n_symbols, erasures
         )
 
-        def case():
-            dec_f, best_f = fused._forward(received, 0.8)
-            dec_r, best_r = reference._forward(received, 0.8)
-            assert np.array_equal(dec_f, dec_r)
-            assert np.array_equal(best_f, best_r)
-            assert np.array_equal(
-                fused._final_metrics, reference._final_metrics
-            )
-            _assert_identical_decode(fused, reference, received, sigma=0.8)
-
-        acs_loops(case)
+        dec_f, best_f = fused._forward(received, 0.8)
+        dec_r, best_r = reference._forward(received, 0.8)
+        assert np.array_equal(dec_f, dec_r)
+        assert np.array_equal(best_f, best_r)
+        assert np.array_equal(
+            fused._final_metrics, reference._final_metrics
+        )
+        _assert_identical_decode(fused, reference, received, sigma=0.8)
 
 
 class TestSelectionOrder:
     """Every loop follows the order numpy's selection hands back, not
     a sorted one: with ``np.argpartition`` patched to reverse its M-set
-    (still a valid partition), the compiled and numpy fused loops still
-    equal the reference.  On hosts whose ``argpartition`` happens to
-    return the M-set sorted, this is the only check that the N best
-    are read through the ranking."""
+    (still a valid partition), the compiled loop still equals the
+    reference.  On hosts whose ``argpartition`` happens to return the
+    M-set sorted, this is the only check that the N best are read
+    through the ranking."""
 
     @pytest.mark.parametrize("n", [1, 3])
-    def test_reversed_partition(self, monkeypatch, n, acs_loops):
+    def test_reversed_partition(self, monkeypatch, n):
         argpartition = np.argpartition
 
         def reversed_partition(a, kth, axis=-1, **kwargs):
@@ -423,11 +377,7 @@ class TestSelectionOrder:
         )
         rng = np.random.default_rng(31 + n)
         received = _received(rng, 16, 64, trellis.n_symbols)
-        acs_loops(
-            lambda: _assert_identical_decode(
-                fused, reference, received, sigma=0.8
-            )
-        )
+        _assert_identical_decode(fused, reference, received, sigma=0.8)
 
 
 class TestCorrectionMean:
@@ -490,31 +440,25 @@ class TestEmptyBatches:
 
     @pytest.mark.parametrize("kernel", DECODE_KERNELS)
     def test_zero_frames_decode_to_empty(
-        self, decoder_cls_args, kernel, acs_loops
+        self, decoder_cls_args, kernel
     ):
         decoder_cls, args = decoder_cls_args
         decoder = decoder_cls(*args, kernel=kernel)
 
-        def case():
-            bits = decoder.decode(np.zeros((0, 12, 2)), sigma=0.5)
-            assert bits.shape == (0, 12)
-            assert bits.dtype == np.int8
-
-        acs_loops(case)
+        bits = decoder.decode(np.zeros((0, 12, 2)), sigma=0.5)
+        assert bits.shape == (0, 12)
+        assert bits.dtype == np.int8
 
     @pytest.mark.parametrize("kernel", DECODE_KERNELS)
     @pytest.mark.parametrize("shape", [(3, 0, 2), (0, 2)])
     def test_zero_steps_rejected(
-        self, decoder_cls_args, kernel, shape, acs_loops
+        self, decoder_cls_args, kernel, shape
     ):
         decoder_cls, args = decoder_cls_args
         decoder = decoder_cls(*args, kernel=kernel)
 
-        def case():
-            with pytest.raises(ConfigurationError):
-                decoder.decode(np.zeros(shape), sigma=0.5)
-
-        acs_loops(case)
+        with pytest.raises(ConfigurationError):
+            decoder.decode(np.zeros(shape), sigma=0.5)
 
 
 class TestKernelDispatch:
@@ -529,6 +473,7 @@ class TestKernelDispatch:
             FaultSpec(model="seu", rate=0.01), instance="t"
         )
         assert decoder.fault_hook.active
+        assert decoder.active_kernel() == "reference"
 
         def boom(received, sigma):  # pragma: no cover - must not run
             raise AssertionError("fused kernel ran under an active hook")
@@ -543,6 +488,7 @@ class TestKernelDispatch:
             FaultSpec(model="seu", rate=0.0), instance="t"
         )
         assert not decoder.fault_hook.active
+        assert decoder.active_kernel() == _fused_kernel()
         calls = []
         original = decoder._forward_fused
 
@@ -553,7 +499,7 @@ class TestKernelDispatch:
         monkeypatch.setattr(decoder, "_forward_fused", spy)
         rng = np.random.default_rng(6)
         decoder.decode(_received(rng, 2, 32, trellis_k3.n_symbols), sigma=0.5)
-        assert calls
+        assert len(calls) == (1 if _fused_kernel() == "fused" else 0)
 
     def test_reference_kernel_never_fuses(self, trellis_k3, monkeypatch):
         decoder = ViterbiDecoder(
@@ -652,11 +598,11 @@ class TestAdaptiveBatching:
         assert (a.bits, a.errors) == (b.bits, b.errors)
 
     def test_throughput_metrics_recorded(
-        self, encoder_k3, trellis_k3, tmp_path, acs_loops
+        self, encoder_k3, trellis_k3, tmp_path
     ):
         """Counters, the ``ber.measure`` span and trace-report's kernel
-        line also say whether the forward pass ran compiled: for both
-        decoders exactly when the library loaded."""
+        line name the loops both decoders ran, and only those: the
+        compiled ones exactly when the library loads."""
         registry = get_registry()
         sim = BERSimulator(encoder_k3, frame_length=128, frames_per_batch=8)
         decoders = [
@@ -665,12 +611,11 @@ class TestAdaptiveBatching:
                 trellis_k3, AdaptiveQuantizer(1), AdaptiveQuantizer(3), 15, 2
             ),
         ]
-        paths = iter(tmp_path / f"trace{i}.jsonl" for i in range(4))
-
-        def measure(decoder, compiled):
+        for i, decoder in enumerate(decoders):
             kernel = decoder.active_kernel()
+            assert kernel == _fused_kernel()
             registry.reset()
-            path = next(paths)
+            path = tmp_path / f"trace{i}.jsonl"
             sink = install_tracing(path)
             try:
                 sim.measure(decoder, 4.0, max_bits=8_000, target_errors=None)
@@ -681,36 +626,24 @@ class TestAdaptiveBatching:
             assert "ber.frames_per_sec" in snapshot
             frames = int(snapshot[f"ber.kernel.{kernel}.frames"]["value"])
             assert frames > 0
-            counter = f"ber.kernel.{kernel}.native_frames"
-            assert snapshot.get(counter, {}).get("value", 0) == (
-                frames if compiled else 0
-            )
+            assert [
+                name for name in snapshot
+                if name.startswith("ber.kernel.") and name.endswith(".frames")
+            ] == [f"ber.kernel.{kernel}.frames"]
             (span,) = [
                 r for r in read_trace(path)
                 if r.get("type") == "span" and r["name"] == "ber.measure"
             ]
-            assert span["attrs"]["native"] is compiled
+            assert span["attrs"]["kernel"] == kernel
             report = format_trace_report(summarize_trace(path))
             assert (
                 f"kernel: {kernel} — {frames} frames decoded in " in report
             )
-            native = frames if compiled else 0
-            assert f"{native} with the compiled forward pass" in report
-
-        def case():
-            classic, multires = decoders
-            measure(classic, kernels.native_loaded())
-            assert classic.compiled_forward() is kernels.native_loaded()
-            measure(multires, kernels.native_loaded())
-            assert multires.compiled_forward() is kernels.native_loaded()
-
-        ran = acs_loops(case)
-        assert ran[-1] == "numpy"
         registry.reset()
 
 
 class TestSearchParity:
-    def test_search_results_identical_across_kernels(self, acs_loops):
+    def test_search_results_identical_across_kernels(self):
         spec = ViterbiSpec(
             throughput_bps=1e6,
             ber_curve=BERThresholdCurve.single(4.0, 2e-2),
@@ -724,14 +657,10 @@ class TestSearchParity:
             ).search()
 
         reference = search("reference")
-
-        def case():
-            fused = search("fused")
-            assert fused.feasible == reference.feasible
-            assert fused.best_point == reference.best_point
-            assert fused.best_metrics == reference.best_metrics
-
-        acs_loops(case)
+        fused = search("fused")
+        assert fused.feasible == reference.feasible
+        assert fused.best_point == reference.best_point
+        assert fused.best_metrics == reference.best_metrics
 
     def test_kernel_not_in_fingerprint(self):
         from repro.viterbi import ViterbiMetacoreEvaluator
@@ -784,7 +713,7 @@ print(lib is not None, hashlib.sha256(bits.tobytes()).hexdigest())
 
 class TestNativeLoader:
     """Building, caching and falling back; every fallback still decodes
-    bit-identically, on the numpy loop, and raises nothing."""
+    bit-identically, on the reference loops, and raises nothing."""
 
     @pytest.fixture
     def fresh_loader(self, monkeypatch, tmp_path):
@@ -793,22 +722,21 @@ class TestNativeLoader:
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
         return tmp_path / "cache" / "repro"
 
-    def _assert_numpy_fallback(self):
-        """Both forward passes run their numpy loops, bit-identically."""
+    def _assert_reference_fallback(self):
+        """Hook-free fused decoders of both kinds take the reference
+        loops, bit-identically."""
         assert kernels.native_library() is None
-        assert not kernels.native_loaded()
-        fused, reference, received = _decode_case()
-        assert not fused.compiled_forward()
-        _assert_identical_decode(fused, reference, received, sigma=0.8)
-        fused, reference, received = _multires_decode_case()
-        assert not fused.compiled_forward()
-        _assert_identical_decode(fused, reference, received, sigma=0.8)
+        for fused, reference, received in (
+            _decode_case(), _multires_decode_case()
+        ):
+            assert fused.active_kernel() == "reference"
+            _assert_identical_decode(fused, reference, received, sigma=0.8)
 
     def test_no_compiler_on_path(self, fresh_loader, monkeypatch, tmp_path):
         empty = tmp_path / "empty"
         empty.mkdir()
         monkeypatch.setenv("PATH", str(empty))
-        self._assert_numpy_fallback()
+        self._assert_reference_fallback()
         assert not fresh_loader.exists()
 
     def test_failing_compiler(self, fresh_loader, monkeypatch, tmp_path):
@@ -818,7 +746,7 @@ class TestNativeLoader:
         cc.write_text("#!/bin/sh\necho 'cc: broken' >&2\nexit 1\n")
         cc.chmod(0o755)
         monkeypatch.setenv("PATH", str(bin_dir))
-        self._assert_numpy_fallback()
+        self._assert_reference_fallback()
         # The failed build leaves no temporary file behind.
         assert list(fresh_loader.iterdir()) == []
 
@@ -835,7 +763,7 @@ class TestNativeLoader:
                 fused, reference, received = _decode_case()
                 _assert_identical_decode(fused, reference, received, 0.8)
             else:
-                self._assert_numpy_fallback()
+                self._assert_reference_fallback()
         finally:
             cache.chmod(0o755)
 
@@ -844,11 +772,12 @@ class TestNativeLoader:
         blocker = tmp_path / "file"
         blocker.write_text("not a directory")
         monkeypatch.setenv("XDG_CACHE_HOME", str(blocker))
-        self._assert_numpy_fallback()
+        self._assert_reference_fallback()
 
     def test_no_home_directory(self, monkeypatch):
         """No HOME, no XDG_CACHE_HOME and no passwd entry: ``Path.home``
-        raises ``RuntimeError``, and the decode still runs on numpy."""
+        raises ``RuntimeError``, and the decode still runs on the
+        reference loops."""
         monkeypatch.setattr(kernels, "_native", kernels._UNLOADED)
         monkeypatch.delenv("HOME", raising=False)
         monkeypatch.delenv("XDG_CACHE_HOME", raising=False)
@@ -857,7 +786,7 @@ class TestNativeLoader:
             raise RuntimeError("Could not determine home directory.")
 
         monkeypatch.setattr(Path, "home", classmethod(no_home))
-        self._assert_numpy_fallback()
+        self._assert_reference_fallback()
 
     def test_library_without_the_symbols(self, fresh_loader, monkeypatch):
         """A library lacking any one of the loops falls back entirely,
@@ -875,7 +804,7 @@ class TestNativeLoader:
         for source in sources:
             monkeypatch.setattr(kernels, "_native", kernels._UNLOADED)
             monkeypatch.setattr(kernels, "native_source", lambda: source)
-            self._assert_numpy_fallback()
+            self._assert_reference_fallback()
 
     def test_source_edit_changes_the_cache_key(
         self, fresh_loader, monkeypatch
@@ -944,21 +873,24 @@ class TestNativeLoader:
             outputs.append(out.split())
         assert outputs[0] == outputs[1]
         assert outputs[0][0] == "True"
-        # The numpy loop decodes the same bits in this process.
+        # The reference loops decode the same bits in this process.
         trellis = Trellis.from_encoder(ConvolutionalEncoder(5))
-        decoder = ViterbiDecoder(trellis, AdaptiveQuantizer(3), 25)
+        decoder = ViterbiDecoder(
+            trellis, AdaptiveQuantizer(3), 25, kernel="reference"
+        )
         received = np.random.default_rng(5).normal(0.0, 1.0, (8, 120, 2))
-        with numpy_loops():
-            bits = decoder.decode(received, sigma=0.8)
+        bits = decoder.decode(received, sigma=0.8)
         assert outputs[0][1] == hashlib.sha256(bits.tobytes()).hexdigest()
         built = sorted(p.name for p in (tmp_path / "repro").iterdir())
         assert len(built) == 1 and built[0].endswith(".so"), built
 
     def test_compiler_on_path_means_native_loop(self):
-        """Fails, not skips: CI with a compiler must not run numpy."""
+        """Fails, not skips: CI with a compiler must not fall back to
+        the reference loops."""
         if shutil.which("cc") is not None:
             assert kernels.native_library() is not None
-            assert kernels.native_loaded()
+            fused, _, _ = _decode_case()
+            assert fused.active_kernel() == "fused"
 
     def test_source_ships_with_the_package(self):
         source = kernels.native_source()

@@ -16,7 +16,7 @@ from repro.utils.fixed import (
     quantize_real,
     to_fixed,
 )
-from repro.utils.rng import derive_seed, ensure_seed, make_rng, spawn_rng
+from repro.utils.rng import derive_seed, make_rng, spawn_rng
 from repro.utils.stats import (
     binomial_confidence_interval,
     geometric_mean,
@@ -49,10 +49,6 @@ class TestRng:
         a = spawn_rng(3, "one").random()
         b = spawn_rng(3, "two").random()
         assert a != b
-
-    def test_ensure_seed(self):
-        assert ensure_seed(None, 9) == 9
-        assert ensure_seed(4, 9) == 4
 
 
 class TestStats:
