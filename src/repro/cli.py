@@ -286,13 +286,15 @@ def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
         "--checkpoint",
         metavar="FILE",
         default=None,
-        help="write an atomic per-round session checkpoint to FILE; a "
-        "crashed or aborted run continues with --resume",
+        help="replace FILE after every computed evaluation round with a "
+        "JSONL checkpoint of the run's priced points; a crashed or aborted "
+        "run continues with --resume",
     )
     parser.add_argument(
         "--resume",
         action="store_true",
-        help="resume from --checkpoint instead of starting cold",
+        help="resume from --checkpoint instead of starting cold "
+        "(needs --checkpoint)",
     )
     parser.add_argument(
         "--max-rounds",
@@ -300,7 +302,7 @@ def _add_checkpoint_args(parser: argparse.ArgumentParser) -> None:
         default=None,
         metavar="N",
         help="abort after N computed evaluation rounds (checkpoint "
-        "intact, exit code 3); mainly for tests and CI",
+        "intact, exit code 3; needs --checkpoint); mainly for tests and CI",
     )
     parser.add_argument(
         "--resilient",
@@ -335,26 +337,28 @@ def _facade(args: argparse.Namespace, spec, facade=MetaCore, **options):
 def _facade_search(args: argparse.Namespace, make_metacore, report=None) -> int:
     """Search with the facade ``make_metacore(power)`` builds and report.
 
-    Checkpointed when ``--checkpoint`` is set; ``report(point,
-    metrics)`` prints the winner's lines before the energy line.
+    ``--checkpoint``/``--resume``/``--max-rounds`` and ``--resilient``
+    set the facade's evaluator layers; ``report(point, metrics)``
+    prints the winner's lines before the energy line.
     """
+    if not args.checkpoint and (args.resume or args.max_rounds is not None):
+        print(
+            "invalid request: --resume and --max-rounds need --checkpoint",
+            file=sys.stderr,
+        )
+        return 2
     try:
         metacore = make_metacore(_power_config(args))
     except ConfigurationError as error:
         print(f"invalid request: {error}", file=sys.stderr)
         return 2
-    session = None
+    metacore.checkpoint_path = args.checkpoint
+    metacore.resume = args.resume
+    metacore.max_rounds = args.max_rounds
+    metacore.resilient = args.resilient
     with _tracing(args):
         try:
-            if args.checkpoint:
-                metacore.checkpoint_path = args.checkpoint
-                metacore.resume = args.resume
-                metacore.max_rounds = args.max_rounds
-                metacore.resilient = args.resilient
-                session = metacore.search_session()
-                result = session.result
-            else:
-                result = metacore.search()
+            session = metacore.search_session()
         except RoundBudgetExceeded as stop:
             print(
                 f"round budget exhausted after {stop.rounds} computed "
@@ -362,7 +366,8 @@ def _facade_search(args: argparse.Namespace, make_metacore, report=None) -> int:
                 "(rerun with --resume to continue)"
             )
             return 3
-    print(session.summary() if session is not None else result.summary())
+    result = session.result
+    print(session.summary())
     if result.best_point is not None:
         if report is not None:
             report(result.best_point, result.best_metrics)
@@ -986,9 +991,6 @@ def build_parser() -> argparse.ArgumentParser:
     table4.add_argument("--max-resolution", type=int, default=3)
     table4.add_argument("--top-k", type=int, default=4)
     _add_strategy_arg(table4)
-    # Accepted for sweep-script symmetry with table3; the IIR machinery
-    # has no decode kernels, so the flag is inert here.
-    _add_kernel_arg(table4)
     _add_parallel_args(table4)
     _add_trace_arg(table4)
     table4.set_defaults(func=cmd_table4)

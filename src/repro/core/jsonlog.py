@@ -1,10 +1,12 @@
-"""The append-only JSONL file under the program's persistent stores.
+"""The JSONL file under every persistent store of the program.
 
 The persistent evaluation cache (:mod:`repro.core.evalcache`) and the
 design atlas (:mod:`repro.atlas.store`) keep their state as JSON lines
 that are only ever appended, so a killed run keeps everything it paid
-for.  This module owns how both touch the file; each store keeps only
-its record semantics, as a per-entry callback.
+for.  Search checkpoints (:mod:`repro.resilience.session`) are JSON
+lines too, replaced whole after every evaluation round.  This module
+owns how all three touch the file: lock, parse, skip and replace; each
+store keeps only its record semantics, as a per-entry callback.
 
 - **Locking.**  Reads take a shared advisory ``flock``, appends and
   rewrites an exclusive one (a no-op where ``fcntl`` is unavailable).
@@ -27,7 +29,7 @@ its record semantics, as a per-entry callback.
   corrupt line instead of swallowing the first new record.
 - **Atomic rewrites.**  :func:`atomic_write` (tmp file, ``fsync``,
   ``os.replace``) is how a whole store file is replaced: compaction,
-  the atlas index sidecar and search checkpoints.
+  the atlas index sidecar and each round's search checkpoint.
 """
 
 from __future__ import annotations
@@ -232,6 +234,7 @@ class JsonLog:
         concurrent append lands either before (and is merged first) or
         after, in the new file.
         """
+        self.path.parent.mkdir(parents=True, exist_ok=True)
         with self._locked(exclusive=True) as (handle, _size):
             self._read(handle)
             atomic_write(self.path, "".join(_line(entry) for entry in render()))

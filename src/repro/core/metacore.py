@@ -7,7 +7,7 @@ A :class:`MetaCoreDefinition` records the part that differs from core
 to core — spec type, wire codec, atlas features, design space, point
 normalizer, evaluator factory, builder, CLI wiring — and
 :class:`MetaCore` is the one facade that runs any registered
-definition: search, checkpointed sessions, serving, atlas
+definition: search, checkpointed and resilient searches, serving, atlas
 recommendation, portfolio sweeps.  Serving, the atlas and the CLI look
 definitions up here, by kind or by spec type, instead of branching per
 core; adding a core means writing one definition and passing it to
@@ -20,13 +20,12 @@ specs never imports the Viterbi package.
 
 from __future__ import annotations
 
-import functools
 import importlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.core.evalcache import PersistentEvalCache
-from repro.core.parallel import ParallelEvaluator
+from repro.core.parallel import evaluator_stack
 from repro.core.parameters import DesignSpace, Point
 from repro.core.search import MetacoreSearch, SearchConfig, SearchResult
 from repro.errors import ConfigurationError
@@ -166,29 +165,40 @@ class MetaCore:
         )
         return atlas, seeder
 
-    def _run(self, searcher, atlas=None, seeder=None):
+    def _run(self, atlas=None, seeder=None):
         """Run one search; the single setup path of every entry point.
 
-        ``searcher`` is :class:`MetacoreSearch` or a
-        :class:`~repro.resilience.session.SearchSession` factory.  Builds
-        the engine, worker pool and persistent store, opens the atlas
+        Builds the engine, the evaluator chain (pool, retry/quarantine
+        shim, checkpoint) and the persistent store, opens the atlas
         unless an open handle is passed, ingests the finished log, and
-        closes what it opened.
+        closes what it opened.  Returns ``(result, checkpointer,
+        shim)``, the last two None when absent.
         """
         engine = self._engine()
+        # No worker starts before the first batch, inside the try below.
+        stack = evaluator_stack(
+            engine, workers=self.workers, resilient=self.resilient
+        )
         owns_atlas = atlas is None
         if owns_atlas:
             atlas, seeder = self._open_atlas(engine)
-        evaluator: object = engine
-        parallel: Optional[ParallelEvaluator] = None
         store: Optional[PersistentEvalCache] = None
         try:
-            if self.workers and self.workers > 1:
-                parallel = ParallelEvaluator(engine, workers=self.workers)
-                evaluator = parallel
+            evaluator = stack.evaluator
+            checkpointer = None
+            if self.checkpoint_path:
+                # Imported lazily: repro.resilience depends on the drivers.
+                from repro.resilience.session import CheckpointingEvaluator
+
+                evaluator = checkpointer = CheckpointingEvaluator(
+                    evaluator,
+                    self.checkpoint_path,
+                    resume=self.resume,
+                    max_rounds=self.max_rounds,
+                )
             if self.cache_path:
                 store = PersistentEvalCache(self.cache_path)
-            outcome = searcher(
+            result = MetacoreSearch(
                 self.design_space(),
                 self.spec.goal(),
                 evaluator,
@@ -200,18 +210,12 @@ class MetaCore:
             if atlas is not None:
                 from repro.atlas import ingest_result
 
-                result = (
-                    outcome
-                    if isinstance(outcome, SearchResult)
-                    else outcome.result
-                )
                 ingest_result(
                     atlas, seeder, result.log.records, engine.max_fidelity
                 )
-            return outcome
+            return result, checkpointer, stack.shim
         finally:
-            if parallel is not None:
-                parallel.close()
+            stack.close()
             if store is not None:
                 store.close()
             if owns_atlas and atlas is not None:
@@ -219,30 +223,18 @@ class MetaCore:
 
     def search(self) -> SearchResult:
         """Run the multiresolution search for this specification."""
-        if self.checkpoint_path:
-            return self.search_session().result
-        return self._run(MetacoreSearch)
+        return self._run()[0]
 
     def search_session(self):
-        """Run the search as a checkpointed, resumable session.
+        """Run the search and report its crash-tolerance accounting.
 
-        Returns a :class:`~repro.resilience.session.SessionResult`;
-        requires :attr:`checkpoint_path`.
+        Returns a :class:`~repro.resilience.session.SessionResult`:
+        rounds restored and computed when :attr:`checkpoint_path` is
+        set, retries and quarantined points when :attr:`resilient` is.
         """
-        # Imported lazily: repro.resilience depends on the drivers.
-        from repro.resilience.session import SearchSession
+        from repro.resilience.session import SessionResult
 
-        if not self.checkpoint_path:
-            raise ConfigurationError("search_session requires checkpoint_path")
-        return self._run(
-            functools.partial(
-                SearchSession,
-                checkpoint_path=self.checkpoint_path,
-                resume=self.resume,
-                max_rounds=self.max_rounds,
-                resilient=self.resilient,
-            )
-        )
+        return SessionResult.of(*self._run())
 
     def serve(
         self,
@@ -317,7 +309,7 @@ class MetaCore:
                 seeder.fingerprint,
                 self.spec.goal(),
                 constraints=constraints,
-                fallback=lambda: self._run(MetacoreSearch, atlas, seeder),
+                fallback=lambda: self._run(atlas, seeder)[0],
             )
         finally:
             atlas.close()

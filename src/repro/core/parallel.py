@@ -16,7 +16,9 @@ order.
 
 Evaluators that cannot be pickled (e.g. closures over test state) fall
 back to in-process serial evaluation, as does ``workers <= 1``; the
-wrapper is then a transparent pass-through.
+wrapper is then a transparent pass-through.  :func:`evaluator_stack`
+builds the one chain every search and served session prices through:
+the engine, its pool when one helps, and the retry/quarantine shim.
 """
 
 from __future__ import annotations
@@ -29,7 +31,8 @@ import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from typing import List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Any, List, Optional, Sequence
 
 from repro.core.evalcache import evaluator_fingerprint
 from repro.core.evaluation import (
@@ -207,3 +210,55 @@ class ParallelEvaluator:
             self.close()
         except Exception:
             pass
+
+
+def worker_pool(
+    inner: Evaluator, workers: Optional[int]
+) -> Optional[ParallelEvaluator]:
+    """A pool over ``inner`` when ``workers > 1`` and it pickles, else None."""
+    if not workers or workers <= 1:
+        return None
+    pool = ParallelEvaluator(inner, workers=workers)
+    return pool if pool.parallel_enabled else None
+
+
+@dataclass
+class EvaluatorStack:
+    """An engine under its optional worker pool and retry/quarantine shim.
+
+    ``evaluator`` is the top of the stack; ``parallel`` and ``shim``
+    are the layers it holds (None when absent), kept for pool start-up
+    and shutdown and for the shim's retry/quarantine accounting.
+    """
+
+    evaluator: Evaluator
+    parallel: Optional[ParallelEvaluator] = None
+    shim: Optional[Any] = None
+
+    def close(self) -> None:
+        """Shut the worker pool down (idempotent)."""
+        if self.parallel is not None:
+            self.parallel.close()
+
+
+def evaluator_stack(
+    engine: Evaluator,
+    workers: Optional[int] = 1,
+    resilient: bool = False,
+    max_retries: int = 2,
+) -> EvaluatorStack:
+    """engine -> :func:`worker_pool` -> ``ResilientEvaluator`` (resilient).
+
+    The one evaluator chain under every search and served session;
+    neither layer changes what a point is worth or its fingerprint.
+    """
+    parallel = worker_pool(engine, workers)
+    evaluator: Evaluator = engine if parallel is None else parallel
+    shim = None
+    if resilient:
+        # Imported lazily: repro.resilience depends on the drivers.
+        from repro.resilience.shim import ResilientEvaluator
+
+        shim = ResilientEvaluator(evaluator, max_retries=max_retries)
+        evaluator = shim
+    return EvaluatorStack(evaluator, parallel, shim)

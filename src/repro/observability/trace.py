@@ -1,9 +1,10 @@
 """Span-based tracing with a pluggable sink.
 
 A *span* is one timed stage of a run (a refinement round, one cost
-evaluation, one Monte-Carlo measurement).  Spans nest: each thread
-keeps its own stack, so a span records its parent and depth without any
-coordination between threads.  Timing uses the monotonic clock.
+evaluation, one Monte-Carlo measurement).  Spans nest: the innermost
+open span lives in a context variable, so each thread and each asyncio
+task sees its own, and a span records its parent and depth without any
+coordination between them.  Timing uses the monotonic clock.
 
 The tracer is deliberately minimal.  When no sink is installed —
 the default — ``span()`` returns a shared no-op object and ``event()``
@@ -17,7 +18,8 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, List, Optional, Protocol
+from contextvars import ContextVar, Token
+from typing import Any, Dict, Optional, Protocol
 
 
 class Sink(Protocol):
@@ -41,7 +43,10 @@ class Span:
     ``status="error"`` with the exception type attached.
     """
 
-    __slots__ = ("name", "attrs", "start_s", "end_s", "status", "_tracer", "_parent", "_depth")
+    __slots__ = (
+        "name", "attrs", "start_s", "end_s", "status",
+        "_tracer", "_parent", "_depth", "_token",
+    )
 
     def __init__(self, tracer: "Tracer", name: str, attrs: Dict[str, Any]) -> None:
         self.name = name
@@ -52,6 +57,7 @@ class Span:
         self._tracer = tracer
         self._parent: Optional[str] = None
         self._depth = 0
+        self._token: Optional[Token] = None
 
     @property
     def duration_s(self) -> float:
@@ -63,12 +69,12 @@ class Span:
         self.attrs.update(attrs)
 
     def __enter__(self) -> "Span":
-        stack = self._tracer._stack()
-        if stack:
-            parent = stack[-1]
+        current = self._tracer._current
+        parent = current.get()
+        if parent is not None:
             self._parent = parent.name
             self._depth = parent._depth + 1
-        stack.append(self)
+        self._token = current.set(self)
         self.start_s = time.monotonic()
         return self
 
@@ -77,11 +83,7 @@ class Span:
         if exc_type is not None:
             self.status = "error"
             self.attrs.setdefault("exception", exc_type.__name__)
-        stack = self._tracer._stack()
-        if stack and stack[-1] is self:
-            stack.pop()
-        elif self in stack:  # unbalanced exit (generator teardown etc.)
-            stack.remove(self)
+        self._tracer._current.reset(self._token)
         self._tracer._emit_span(self)
         return False  # never swallow the exception
 
@@ -114,7 +116,9 @@ class Tracer:
 
     def __init__(self, sink: Optional[Sink] = None) -> None:
         self._sink = sink
-        self._local = threading.local()
+        self._current: ContextVar[Optional[Span]] = ContextVar(
+            f"repro_span_{id(self)}", default=None
+        )
 
     # -- sink management ------------------------------------------------
 
@@ -152,24 +156,16 @@ class Tracer:
         }
         if attrs:
             record["attrs"] = attrs
-        stack = self._stack()
-        if stack:
-            record["span"] = stack[-1].name
+        current = self._current.get()
+        if current is not None:
+            record["span"] = current.name
         sink.emit(record)
 
     def current_span(self) -> Optional[Span]:
-        """The innermost open span on this thread, if any."""
-        stack = self._stack()
-        return stack[-1] if stack else None
+        """The innermost open span of this thread or task, if any."""
+        return self._current.get()
 
     # -- internals ------------------------------------------------------
-
-    def _stack(self) -> List[Span]:
-        stack = getattr(self._local, "stack", None)
-        if stack is None:
-            stack = []
-            self._local.stack = stack
-        return stack
 
     def _emit_span(self, span: Span) -> None:
         sink = self._sink

@@ -8,10 +8,11 @@ Two halves:
   Viterbi datapath and IIR state words, and a campaign runner that
   sweeps fault-rate × design-point grids and classifies the outcomes
   DAVOS-style (masked / degraded / decode-failure).
-- **Crash-tolerant sessions** (:mod:`~repro.resilience.session`,
+- **Crash-tolerant searches** (:mod:`~repro.resilience.session`,
   :mod:`~repro.resilience.shim`): atomic per-round search checkpoints
   with resume, and a retry/backoff/quarantine evaluator shim so one
-  poisoned design point cannot take down a whole search.
+  poisoned design point cannot take down a whole search.  Both are
+  evaluator layers the facade stacks under its search.
 """
 
 from repro.resilience.campaign import (
@@ -33,7 +34,6 @@ from repro.resilience.report import format_campaign_report
 from repro.resilience.session import (
     CheckpointingEvaluator,
     RoundBudgetExceeded,
-    SearchSession,
     SessionResult,
 )
 from repro.resilience.shim import DEFAULT_FAILURE_METRICS, ResilientEvaluator
@@ -53,7 +53,6 @@ __all__ = [
     "ResilientEvaluator",
     "RoundBudgetExceeded",
     "STORAGE_CLASSES",
-    "SearchSession",
     "SessionResult",
     "format_campaign_report",
     "simulate_with_faults",

@@ -37,7 +37,7 @@ from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.core.evalcache import PersistentEvalCache
 from repro.core.evaluation import CachingEvaluator, EvaluationLog
-from repro.core.parallel import ParallelEvaluator
+from repro.core.parallel import ParallelEvaluator, worker_pool
 from repro.core.parameters import Point, frozen_point
 from repro.errors import ConfigurationError
 from repro.observability.metrics import get_registry
@@ -425,8 +425,8 @@ class Campaign:
         log = EvaluationLog()
         registry = get_registry()
         try:
-            if self.workers and self.workers > 1:
-                parallel = ParallelEvaluator(evaluator, workers=self.workers)
+            parallel = worker_pool(evaluator, self.workers)
+            if parallel is not None:
                 evaluator = parallel
             if self.cache_path:
                 store = PersistentEvalCache(self.cache_path)

@@ -1,24 +1,23 @@
-"""Crash-tolerant search sessions: atomic checkpoints + resume.
+"""Crash-tolerant searches: per-round checkpoints + resume.
 
 A production search over a real specification runs for hours; a worker
 crash, an OOM kill, or a pre-empted machine must not throw that work
-away.  This module makes a :class:`~repro.core.search.MetacoreSearch`
-restartable:
+away.  :class:`CheckpointingEvaluator` makes any
+:class:`~repro.core.search.MetacoreSearch` restartable.  It is one more
+layer of the evaluator chain, between the search's in-memory cache and
+the engine's pool and retry/quarantine shim
+(:func:`~repro.core.parallel.evaluator_stack`):
 
-- :class:`CheckpointingEvaluator` sits under the search's in-memory
-  cache and writes an **atomic JSON checkpoint**
-  (:func:`~repro.core.jsonlog.atomic_write`) after every computed
-  evaluation round, recording each priced (point, fidelity, metrics)
-  triple;
+- after every computed evaluation round it replaces its checkpoint
+  file, a :class:`~repro.core.jsonlog.JsonLog`: a header line with the
+  evaluator fingerprint and the round count, then one line per priced
+  ``(point, exact fidelity, metrics, elapsed_s)`` record;
 - on resume, the checkpoint's records answer their evaluations
   **bit-identically** (JSON round-trips Python floats exactly), so the
   search replays deterministically — it fast-forwards through the
   restored rounds without touching the inner evaluator and continues
   from where the crashed run stopped, reaching the *same final
-  selection* as an uninterrupted run;
-- :class:`SearchSession` bundles the wiring: it builds the search over
-  the checkpointing layer, runs it, and reports how many rounds were
-  restored vs. computed.
+  selection* as an uninterrupted run.
 
 ``max_rounds`` turns the evaluator into a deterministic crash machine
 for tests and CI: the checkpoint for round *k* is written *before*
@@ -28,38 +27,33 @@ between rounds.
 
 from __future__ import annotations
 
-import json
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
-from repro.core.evalcache import PersistentEvalCache, evaluator_fingerprint
+from repro.core.evalcache import evaluator_fingerprint
 from repro.core.evaluation import (
     Evaluator,
     Metrics,
     TimedEvaluation,
     evaluate_many_timed,
 )
-from repro.core.jsonlog import atomic_write
-from repro.core.objectives import DesignGoal
-from repro.core.parameters import DesignSpace, Point, frozen_point
-from repro.core.search import (
-    MetacoreSearch,
-    PointNormalizer,
-    SearchConfig,
-    SearchResult,
-)
+from repro.core.jsonlog import Entry, JsonLog
+from repro.core.parameters import Point, frozen_point
+from repro.core.search import SearchResult
 from repro.errors import ReproError
 from repro.observability.metrics import get_registry
-from repro.observability.trace import get_tracer, trace_event
+from repro.observability.trace import trace_event
 
 #: Bump to orphan existing checkpoint files on format changes.
-CHECKPOINT_SCHEMA_VERSION = 1
+CHECKPOINT_SCHEMA_VERSION = 2
+
+Record = Tuple[Metrics, float]
 
 
 class RoundBudgetExceeded(ReproError):
-    """The session's ``max_rounds`` budget ran out mid-search.
+    """The checkpoint's ``max_rounds`` budget ran out mid-search.
 
     The checkpoint of every completed round is already on disk when
     this is raised; re-running with ``resume=True`` continues the
@@ -76,7 +70,7 @@ class RoundBudgetExceeded(ReproError):
 
 
 class CheckpointingEvaluator:
-    """Record every computed evaluation into an atomic JSON checkpoint.
+    """Record every computed evaluation into a per-round checkpoint.
 
     Sits between the search's in-memory cache and the real evaluator.
     Requests answered by the checkpoint cost nothing and are returned
@@ -86,7 +80,8 @@ class CheckpointingEvaluator:
 
     The checkpoint is guarded by the inner evaluator's fingerprint: a
     checkpoint written under a different seed/spec/code version is
-    ignored (with a warning) rather than silently replayed.
+    ignored (with a warning) rather than silently replayed.  A cold run
+    (``resume=False``) replaces whatever the file held.
     """
 
     def __init__(
@@ -105,7 +100,19 @@ class CheckpointingEvaluator:
         #: answer a round with what that round actually computed, or the
         #: resumed search would see different (higher-fidelity) metrics
         #: than the original run did and could walk a different path.
-        self._records: Dict[Tuple[Tuple, int], Tuple[Metrics, float]] = {}
+        self._records: Dict[Tuple[Tuple, int], Record] = {}
+        #: What the file held when last read: (fingerprint, rounds) of
+        #: its header and its records.  Only a resume adopts them; a
+        #: save reads the file too, before replacing it.
+        self._header: Optional[Tuple[str, int]] = None
+        self._loaded: Dict[Tuple[Tuple, int], Record] = {}
+        self._log = JsonLog(
+            self.checkpoint_path,
+            "checkpoint",
+            CHECKPOINT_SCHEMA_VERSION,
+            self._on_entry,
+            on_rewrite=self._forget_file,
+        )
         #: Rounds (computed batches) completed, including restored ones.
         self.rounds_completed = 0
         self.restored_rounds = 0
@@ -135,7 +142,7 @@ class CheckpointingEvaluator:
         """Answer from the checkpoint where possible; compute the rest.
 
         Each call with at least one computed point is one *round*; the
-        checkpoint is rewritten atomically after the round completes.
+        checkpoint is replaced atomically after the round completes.
         """
         results: List[Optional[TimedEvaluation]] = [None] * len(points)
         misses: List[Tuple[int, Point]] = []
@@ -169,47 +176,36 @@ class CheckpointingEvaluator:
 
     # -- checkpoint I/O ---------------------------------------------------
 
+    def _on_entry(self, entry: Entry) -> None:
+        if "rounds" in entry:
+            self._header = (str(entry["fingerprint"]), int(entry["rounds"]))
+            return
+        key = tuple((str(k), v) for k, v in entry["point"])
+        self._loaded[(key, int(entry["fid"]))] = (
+            {str(k): float(v) for k, v in entry["metrics"].items()},
+            float(entry["elapsed_s"]),
+        )
+
+    def _forget_file(self) -> None:
+        self._header = None
+        self._loaded.clear()
+
     def _restore(self) -> None:
-        if not self.checkpoint_path.exists():
+        self._log.refresh()
+        if self._header is None:
             return
-        try:
-            with self.checkpoint_path.open("r", encoding="utf-8") as handle:
-                data = json.load(handle)
-        except (OSError, json.JSONDecodeError) as exc:
-            warnings.warn(
-                f"checkpoint {self.checkpoint_path} is unreadable "
-                f"({exc}); starting fresh",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return
-        if not isinstance(data, dict) or data.get("schema") != CHECKPOINT_SCHEMA_VERSION:
-            warnings.warn(
-                f"checkpoint {self.checkpoint_path} has an unknown schema; "
-                "starting fresh",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-            return
-        if data.get("fingerprint") != self._fingerprint:
+        fingerprint, rounds = self._header
+        if fingerprint != self._fingerprint:
             warnings.warn(
                 f"checkpoint {self.checkpoint_path} was written by a "
                 "different evaluator configuration; starting fresh",
                 RuntimeWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
             return
-        for record in data.get("records", []):
-            try:
-                key = tuple((str(k), v) for k, v in record["point"])
-                fidelity = int(record["fid"])
-                metrics = {str(k): float(v) for k, v in record["metrics"].items()}
-                elapsed = float(record.get("elapsed_s", 0.0))
-            except (KeyError, TypeError, ValueError):
-                continue
-            self._records[(key, fidelity)] = (metrics, elapsed)
-        self.rounds_completed = int(data.get("rounds", 0))
-        self.restored_rounds = self.rounds_completed
+        self._records.update(self._loaded)
+        self._forget_file()
+        self.rounds_completed = self.restored_rounds = rounds
         self.restored_records = len(self._records)
         get_registry().counter("session.restored_records").inc(self.restored_records)
         trace_event(
@@ -219,25 +215,26 @@ class CheckpointingEvaluator:
             records=self.restored_records,
         )
 
-    def _save(self) -> None:
-        """Atomically rewrite the checkpoint (temp file + rename)."""
-        payload: Dict[str, Any] = {
-            "schema": CHECKPOINT_SCHEMA_VERSION,
+    def _entries(self) -> Iterator[Entry]:
+        schema = CHECKPOINT_SCHEMA_VERSION
+        yield {
+            "schema": schema,
             "fingerprint": self._fingerprint,
             "rounds": self.rounds_completed,
-            "records": [
-                {
-                    "point": [[k, v] for k, v in key],
-                    "fid": fidelity,
-                    "metrics": metrics,
-                    "elapsed_s": elapsed,
-                }
-                for (key, fidelity), (metrics, elapsed) in self._records.items()
-            ],
         }
-        atomic_write(
-            self.checkpoint_path, json.dumps(payload, separators=(",", ":"))
-        )
+        for (key, fidelity), (metrics, elapsed) in self._records.items():
+            yield {
+                "schema": schema,
+                "point": [[k, v] for k, v in key],
+                "fid": fidelity,
+                "metrics": metrics,
+                "elapsed_s": elapsed,
+            }
+
+    def _save(self) -> None:
+        """Atomically replace the checkpoint (temp file, fsync, rename)."""
+        self._log.rewrite(self._entries)
+        self._forget_file()  # what the rewrite read first is not adopted
         get_registry().counter("session.checkpoint_writes").inc()
         trace_event(
             "session.checkpoint_written",
@@ -249,7 +246,7 @@ class CheckpointingEvaluator:
 
 @dataclass
 class SessionResult:
-    """A search result plus the session's crash-tolerance accounting."""
+    """A search result plus its crash-tolerance accounting."""
 
     result: SearchResult
     #: Rounds replayed from the checkpoint (0 on a cold run).
@@ -261,89 +258,39 @@ class SessionResult:
     #: Quarantined points (from the resilient shim, when one is attached).
     quarantined: List[str] = field(default_factory=list)
     n_retries: int = 0
+    #: Whether a checkpoint backed the run.
+    checkpointed: bool = False
+
+    @classmethod
+    def of(
+        cls,
+        result: SearchResult,
+        checkpointer: Optional[CheckpointingEvaluator] = None,
+        shim: Optional[object] = None,
+    ) -> "SessionResult":
+        """The accounting of a run over these optional evaluator layers."""
+        session = cls(result=result)
+        if checkpointer is not None:
+            session.checkpointed = True
+            session.restored_rounds = checkpointer.restored_rounds
+            session.restored_records = checkpointer.restored_records
+            session.rounds_completed = checkpointer.rounds_completed
+        if shim is not None:
+            session.quarantined = shim.quarantine_summary()
+            session.n_retries = shim.n_retries
+        return session
 
     def summary(self) -> str:
         lines = [self.result.summary()]
-        lines.append(
-            f"session: {self.rounds_completed} rounds "
-            f"({self.restored_rounds} restored, "
-            f"{self.restored_records} records from checkpoint)"
-        )
+        if self.checkpointed:
+            lines.append(
+                f"session: {self.rounds_completed} rounds "
+                f"({self.restored_rounds} restored, "
+                f"{self.restored_records} records from checkpoint)"
+            )
         if self.n_retries:
             lines.append(f"retries: {self.n_retries}")
         if self.quarantined:
             lines.append(f"quarantined points ({len(self.quarantined)}):")
             lines.extend(f"  {entry}" for entry in self.quarantined)
         return "\n".join(lines)
-
-
-@dataclass
-class SearchSession:
-    """A restartable :class:`MetacoreSearch` run.
-
-    Wires the checkpointing layer (and, optionally, the resilient
-    retry/quarantine shim) under a fresh search and runs it.  The same
-    session parameters re-run with ``resume=True`` after a crash
-    fast-forward through the checkpoint and finish the search.
-    """
-
-    space: DesignSpace
-    goal: DesignGoal
-    evaluator: Evaluator
-    checkpoint_path: Union[str, Path]
-    config: Optional[SearchConfig] = None
-    normalizer: Optional[PointNormalizer] = None
-    store: Optional[PersistentEvalCache] = None
-    resume: bool = False
-    #: Abort (with checkpoint intact) after this many computed rounds.
-    max_rounds: Optional[int] = None
-    #: Attach the retry/quarantine shim between checkpoint and evaluator.
-    resilient: bool = False
-    max_retries: int = 2
-    backoff_s: float = 0.1
-    timeout_s: Optional[float] = None
-    #: Atlas seed source (see :class:`repro.atlas.similarity.AtlasSeeder`),
-    #: forwarded to the underlying search for warm starts.
-    atlas: Optional[object] = None
-
-    def run(self) -> SessionResult:
-        """Run (or resume) the search; checkpoints land on every round."""
-        from repro.resilience.shim import ResilientEvaluator
-
-        inner: Evaluator = self.evaluator
-        shim: Optional[ResilientEvaluator] = None
-        if self.resilient:
-            shim = ResilientEvaluator(
-                inner,
-                max_retries=self.max_retries,
-                backoff_s=self.backoff_s,
-                timeout_s=self.timeout_s,
-            )
-            inner = shim
-        checkpointer = CheckpointingEvaluator(
-            inner,
-            self.checkpoint_path,
-            resume=self.resume,
-            max_rounds=self.max_rounds,
-        )
-        with get_tracer().span(
-            "session.run", resume=self.resume, restored=checkpointer.restored_rounds
-        ):
-            search = MetacoreSearch(
-                self.space,
-                self.goal,
-                checkpointer,
-                config=self.config,
-                normalizer=self.normalizer,
-                store=self.store,
-                atlas=self.atlas,
-            )
-            result = search.run()
-        return SessionResult(
-            result=result,
-            restored_rounds=checkpointer.restored_rounds,
-            restored_records=checkpointer.restored_records,
-            rounds_completed=checkpointer.rounds_completed,
-            quarantined=shim.quarantine_summary() if shim else [],
-            n_retries=shim.n_retries if shim else 0,
-        )

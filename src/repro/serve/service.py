@@ -43,7 +43,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.core.evalcache import PersistentEvalCache, evaluator_fingerprint
 from repro.core.evaluation import CachingEvaluator, Evaluator, Metrics
 from repro.core.metacore import definition_for_spec, metacore_definition
-from repro.core.parallel import ParallelEvaluator
+from repro.core.parallel import evaluator_stack
 from repro.core.parameters import Point
 from repro.core.search import MetacoreSearch, SearchConfig
 from repro.errors import ConfigurationError
@@ -54,6 +54,11 @@ from repro.serve.protocol import (
     search_config_from_payload,
     spec_from_payload,
 )
+
+#: Threads running ``evaluate_many`` batches.
+EVAL_THREADS = 2
+#: Threads running whole searches.
+SEARCH_THREADS = 2
 
 #: Batch-size histogram edges (requests per micro-batch).
 BATCH_SIZE_BUCKETS: Tuple[float, ...] = (1, 2, 4, 8, 16, 32, 64, 128)
@@ -138,10 +143,6 @@ class ServiceConfig:
     resilient: bool = False
     #: Retries per failing point when ``resilient`` (see the shim).
     max_retries: int = 2
-    #: Threads running ``evaluate_many`` batches.
-    eval_threads: int = 2
-    #: Threads running whole searches.
-    search_threads: int = 2
     #: Stable replica identity reported by ``status`` (cluster routers
     #: show it in health/routing tables); None = anonymous.
     node_id: Optional[str] = None
@@ -150,11 +151,11 @@ class ServiceConfig:
 class EvaluatorSession:
     """One specification's shared evaluation stack inside the service.
 
-    Wraps the spec's cost-evaluation engine with (inside-out): an
-    optional :class:`ParallelEvaluator` (process fan-out), an optional
-    :class:`~repro.resilience.shim.ResilientEvaluator`, and the
+    Wraps the spec's cost-evaluation engine in the facade's evaluator
+    chain (:func:`~repro.core.parallel.evaluator_stack`: an optional
+    worker pool, then an optional retry/quarantine shim) and the
     lock-guarded :class:`CachingEvaluator` every client request goes
-    through — all sharing the service's persistent store.
+    through, which shares the service's persistent store.
     """
 
     def __init__(
@@ -171,22 +172,15 @@ class EvaluatorSession:
         self.spec = spec
         self.inner = inner
         self.fingerprint = evaluator_fingerprint(inner)
-        chain: Evaluator = inner
-        self.parallel: Optional[ParallelEvaluator] = None
-        if config.workers and config.workers > 1:
-            parallel = ParallelEvaluator(inner, workers=config.workers)
-            if parallel.parallel_enabled:
-                self.parallel = parallel
-                chain = parallel
-        self.shim = None
-        if config.resilient:
-            from repro.resilience.shim import ResilientEvaluator
-
-            self.shim = ResilientEvaluator(
-                chain, max_retries=config.max_retries
-            )
-            chain = self.shim
-        self.evaluator = CachingEvaluator(chain, store=store)
+        stack = evaluator_stack(
+            inner,
+            workers=config.workers,
+            resilient=config.resilient,
+            max_retries=config.max_retries,
+        )
+        self.parallel = stack.parallel
+        self.shim = stack.shim
+        self.evaluator = CachingEvaluator(stack.evaluator, store=store)
 
     def warm_up(self) -> None:
         """Start the worker pool before the first request arrives."""
@@ -312,11 +306,11 @@ class EvaluationService:
         """Bind to the running loop and start the worker executors."""
         self.loop = asyncio.get_running_loop()
         self._eval_executor = ThreadPoolExecutor(
-            max_workers=max(1, self.config.eval_threads),
+            max_workers=EVAL_THREADS,
             thread_name_prefix="serve-eval",
         )
         self._search_executor = ThreadPoolExecutor(
-            max_workers=max(1, self.config.search_threads),
+            max_workers=SEARCH_THREADS,
             thread_name_prefix="serve-search",
         )
         self._running = True

@@ -144,7 +144,10 @@ class TestKernelAB:
     def test_bench_kernels_quick(self):
         """``bench_kernels.py --quick``: a classic and a multiresolution
         cold evaluation give bit-identical metrics on both kernels, and
-        fused is not slower (the script exits non-zero otherwise)."""
+        fused is not slower (the script exits non-zero otherwise).
+        Without compiled loops there is no A/B: it says so and passes."""
+        from repro.viterbi.kernels import native_library
+
         root = Path(__file__).resolve().parent.parent
         env = dict(os.environ, PYTHONPATH=str(root / "src"))
         proc = subprocess.run(
@@ -156,6 +159,10 @@ class TestKernelAB:
             timeout=600,
         )
         assert proc.returncode == 0, proc.stdout + proc.stderr
+        if native_library() is None:
+            assert "compiled loops unavailable" in proc.stdout
+            assert "(bit-identical)" not in proc.stdout
+            return
         for workload in ("classic", "multires"):
             assert f"{workload}: reference " in proc.stdout
         assert proc.stdout.count("(bit-identical)") == 2
@@ -596,6 +603,38 @@ class TestResilienceEndToEnd:
         assert code == 0, out
         assert "(1 restored, " in out
         assert self._winner(out) == uninterrupted
+
+    def test_resilient_without_checkpoint_quarantines(
+        self, capsys, monkeypatch
+    ):
+        from repro.viterbi.metacore import ViterbiMetacoreEvaluator
+
+        assert main(self.SEARCH) == 0
+        uninterrupted = self._winner(capsys.readouterr().out)
+        evaluate = ViterbiMetacoreEvaluator.evaluate
+
+        def poisoned(self, point, fidelity):
+            if (point["K"], point["L_mult"], point["Q"]) == (7, 7, "hard"):
+                raise RuntimeError("simulator crashed")
+            return evaluate(self, point, fidelity)
+
+        monkeypatch.setattr(ViterbiMetacoreEvaluator, "evaluate", poisoned)
+        with pytest.raises(RuntimeError, match="simulator crashed"):
+            main(self.SEARCH)
+        capsys.readouterr()
+        assert main([*self.SEARCH, "--resilient"]) == 0
+        out = capsys.readouterr().out
+        assert "quarantined points (1):" in out
+        assert "K=7, L_mult=7" in out
+        assert "session:" not in out
+        assert self._winner(out) == uninterrupted
+
+    @pytest.mark.parametrize(
+        "flags", [["--resume"], ["--max-rounds", "1"]], ids=["resume", "max-rounds"]
+    )
+    def test_checkpoint_flags_need_a_checkpoint(self, capsys, flags):
+        assert main([*self.SEARCH, *flags]) == 2
+        assert "need --checkpoint" in capsys.readouterr().err
 
 
 class TestClosedPipe:

@@ -22,6 +22,7 @@ from repro.core.metacore import (
 from repro.errors import ConfigurationError
 from repro.iir import IIRMetaCore, IIRSpec
 from repro.iir.design import LowpassSpec
+from repro.resilience import RoundBudgetExceeded
 from repro.serve import (
     ServeHandle,
     ServiceConfig,
@@ -181,6 +182,15 @@ class _ToyEvaluator:
         return {"cost": (float(point["x"]) - self.spec.offset) ** 2}
 
 
+class _PoisonedToyEvaluator(_ToyEvaluator):
+    """Raises on one point, the way a crashing simulation would."""
+
+    def evaluate(self, point, fidelity):
+        if point["x"] == 6:
+            raise RuntimeError("simulator crashed on x=6")
+        return super().evaluate(point, fidelity)
+
+
 def _toy_space(fixed=None):
     from repro.core import Correlation, DesignSpace, DiscreteParameter
 
@@ -216,6 +226,39 @@ class TestCustomDefinition:
         result = facade.search()
         assert result.best_point == {"x": 5}
         assert facade.build(result.best_point) == 5
+
+    def test_resilient_search_quarantines_without_a_checkpoint(self):
+        register_metacore(
+            dataclasses.replace(TOY, evaluator=_PoisonedToyEvaluator)
+        )
+        with pytest.raises(RuntimeError, match="x=6"):
+            MetaCore(_ToySpec(5.0)).search()
+        facade = MetaCore(_ToySpec(5.0), resilient=True)
+        assert facade.search().best_point == {"x": 5}
+        session = facade.search_session()
+        assert session.result.best_point == {"x": 5}
+        (quarantined,) = session.quarantined
+        assert "x=6" in quarantined
+        assert session.n_retries == 2
+        assert "session:" not in session.summary()
+        assert "quarantined points (1):" in session.summary()
+
+    def test_checkpoint_resilient_and_workers_compose(self, tmp_path):
+        register_metacore(
+            dataclasses.replace(TOY, evaluator=_PoisonedToyEvaluator)
+        )
+        checkpoint = str(tmp_path / "run.ckpt")
+        layers = dict(resilient=True, workers=2, checkpoint_path=checkpoint)
+        reference = MetaCore(_ToySpec(5.0), resilient=True).search()
+        with pytest.raises(RoundBudgetExceeded):
+            MetaCore(_ToySpec(5.0), max_rounds=1, **layers).search()
+        session = MetaCore(
+            _ToySpec(5.0), resume=True, **layers
+        ).search_session()
+        assert session.restored_rounds == 1
+        assert session.rounds_completed > 1
+        assert session.result.best_point == reference.best_point
+        assert session.result.best_metrics == reference.best_metrics
 
     def test_served_eval_and_search(self):
         payload = spec_to_payload(_ToySpec(3.0))

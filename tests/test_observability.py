@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 import threading
 
@@ -118,6 +119,35 @@ class TestTracer:
             thread.join()
         # The other thread's span must not nest under this thread's.
         assert seen["parent"] is None
+
+    def test_concurrent_tasks_keep_their_own_parents(self):
+        """Two gathered coroutines holding a span across an ``await``
+        both record it at the top level, not one inside the other."""
+        sink = ListSink()
+        tracer = Tracer(sink)
+
+        async def route(release):
+            with tracer.span("cluster.route"):
+                await release.wait()
+                with tracer.span("cluster.hop"):
+                    pass
+
+        async def main():
+            release = asyncio.Event()
+            tasks = asyncio.gather(route(release), route(release))
+            await asyncio.sleep(0)  # both tasks are inside their span
+            release.set()
+            await tasks
+
+        asyncio.run(main())
+        routes = [r for r in sink.records if r["name"] == "cluster.route"]
+        hops = [r for r in sink.records if r["name"] == "cluster.hop"]
+        assert [r["depth"] for r in routes] == [0, 0]
+        assert all("parent" not in r for r in routes)
+        assert [(r["depth"], r["parent"]) for r in hops] == [
+            (1, "cluster.route"), (1, "cluster.route")
+        ]
+        assert tracer.current_span() is None
 
 
 class TestMetrics:

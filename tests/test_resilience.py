@@ -29,12 +29,13 @@ from repro.resilience import (
     DEFAULT_FAILURE_METRICS,
     FaultInjector,
     FaultSpec,
+    CheckpointingEvaluator,
     ResilientEvaluator,
     RoundBudgetExceeded,
-    SearchSession,
     format_campaign_report,
     simulate_with_faults,
 )
+from repro.resilience.session import CHECKPOINT_SCHEMA_VERSION
 from repro.viterbi import BERSimulator, ConvolutionalEncoder, build_decoder
 
 
@@ -244,71 +245,116 @@ class TestCampaign:
 # crash-tolerant sessions
 
 
-def make_session(path, **kwargs) -> SearchSession:
-    return SearchSession(
-        small_space(),
-        GOAL,
-        DeterministicEvaluator(),
-        path,
-        config=CONFIG,
-        **kwargs,
+def run_checkpointed(path, evaluator=None, **kwargs):
+    """(result, checkpointer) of one search over a checkpoint layer."""
+    checkpointer = CheckpointingEvaluator(
+        evaluator or DeterministicEvaluator(), path, **kwargs
     )
+    result = MetacoreSearch(
+        small_space(), GOAL, checkpointer, config=CONFIG
+    ).run()
+    return result, checkpointer
+
+
+def checkpoint_lines(path):
+    return [
+        json.loads(line)
+        for line in path.read_text(encoding="utf-8").splitlines()
+    ]
 
 
 class TestSearchSession:
+    """Searches over a :class:`CheckpointingEvaluator` layer."""
+
     def test_killed_search_resumes_to_the_same_selection(self, tmp_path):
         reference = run_plain_search(DeterministicEvaluator())
         path = tmp_path / "run.ckpt"
         with pytest.raises(RoundBudgetExceeded) as stop:
-            make_session(path, max_rounds=2).run()
+            run_checkpointed(path, max_rounds=2)
         assert stop.value.rounds == 2
         assert path.exists()
-        resumed = make_session(path, resume=True).run()
-        assert resumed.restored_rounds == 2
-        assert resumed.restored_records > 0
-        assert search_signature(resumed.result) == search_signature(reference)
+        resumed, checkpointer = run_checkpointed(path, resume=True)
+        assert checkpointer.restored_rounds == 2
+        assert checkpointer.restored_records > 0
+        assert search_signature(resumed) == search_signature(reference)
 
     def test_cold_session_matches_plain_search(self, tmp_path):
         reference = run_plain_search(DeterministicEvaluator())
-        session = make_session(tmp_path / "cold.ckpt").run()
-        assert session.restored_rounds == 0
-        assert search_signature(session.result) == search_signature(reference)
+        result, checkpointer = run_checkpointed(tmp_path / "cold.ckpt")
+        assert checkpointer.restored_rounds == 0
+        assert search_signature(result) == search_signature(reference)
 
     def test_completed_checkpoint_replays_without_reevaluating(self, tmp_path):
         path = tmp_path / "done.ckpt"
-        first = make_session(path).run()
-        replayed = make_session(path, resume=True).run()
-        assert replayed.restored_records > 0
+        first, done = run_checkpointed(path)
+        replayed, checkpointer = run_checkpointed(path, resume=True)
+        assert checkpointer.restored_records > 0
         # Full replay: nothing recomputed, so no new rounds were added.
-        assert replayed.rounds_completed == first.rounds_completed
-        assert replayed.restored_rounds == first.rounds_completed
-        assert search_signature(replayed.result) == search_signature(
-            first.result
-        )
+        assert checkpointer.rounds_completed == done.rounds_completed
+        assert checkpointer.restored_rounds == done.rounds_completed
+        assert search_signature(replayed) == search_signature(first)
 
     def test_fingerprint_mismatch_starts_fresh_with_warning(self, tmp_path):
         path = tmp_path / "run.ckpt"
-        make_session(path).run()
-        other = SearchSession(
-            small_space(),
-            GOAL,
-            DeterministicEvaluator(version=2),
-            path,
-            config=CONFIG,
-            resume=True,
-        )
+        run_checkpointed(path)
         with pytest.warns(RuntimeWarning, match="different evaluator"):
-            session = other.run()
-        assert session.restored_rounds == 0
+            _result, checkpointer = run_checkpointed(
+                path, DeterministicEvaluator(version=2), resume=True
+            )
+        assert checkpointer.restored_rounds == 0
 
     def test_corrupt_checkpoint_starts_fresh_with_warning(self, tmp_path):
         path = tmp_path / "run.ckpt"
-        path.write_text("{not json", encoding="utf-8")
-        with pytest.warns(RuntimeWarning, match="unreadable"):
-            session = make_session(path, resume=True).run()
-        assert session.restored_rounds == 0
+        path.write_text("{not json\n", encoding="utf-8")
+        with pytest.warns(RuntimeWarning, match="corrupt line"):
+            _result, checkpointer = run_checkpointed(path, resume=True)
+        assert checkpointer.restored_rounds == 0
         # ... and the bad file was replaced by a valid checkpoint.
-        assert json.loads(path.read_text(encoding="utf-8"))["rounds"] > 0
+        assert checkpoint_lines(path)[0]["rounds"] > 0
+
+    def test_file_is_a_header_and_one_line_per_record(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        _result, checkpointer = run_checkpointed(path)
+        header, *records = checkpoint_lines(path)
+        assert header == {
+            "schema": CHECKPOINT_SCHEMA_VERSION,
+            "fingerprint": "deterministic:v1",
+            "rounds": checkpointer.rounds_completed,
+        }
+        assert len(records) == len(checkpointer._records)
+        assert set(records[0]) == {
+            "schema", "point", "fid", "metrics", "elapsed_s"
+        }
+
+    def test_torn_last_line_resumes_with_the_complete_records(self, tmp_path):
+        reference = run_plain_search(DeterministicEvaluator())
+        path = tmp_path / "run.ckpt"
+        with pytest.raises(RoundBudgetExceeded):
+            run_checkpointed(path, max_rounds=2)
+        complete = len(checkpoint_lines(path)) - 2  # header, torn record
+        with path.open("r+b") as handle:  # a kill mid-line
+            handle.truncate(path.stat().st_size - 7)
+        resumed, checkpointer = run_checkpointed(path, resume=True)
+        assert checkpointer.restored_rounds == 2
+        assert checkpointer.restored_records == complete
+        assert search_signature(resumed) == search_signature(reference)
+
+    def test_cold_run_never_merges_the_existing_file(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        run_checkpointed(path)
+        header, *records = checkpoint_lines(path)
+        stray = {**records[0], "point": [["a", 99], ["b", 99]]}
+        path.write_text(
+            "".join(json.dumps(e) + "\n" for e in [header, stray, *records]),
+            encoding="utf-8",
+        )
+        with pytest.raises(RoundBudgetExceeded):
+            run_checkpointed(path, max_rounds=1)
+        header, *records = checkpoint_lines(path)
+        assert header["rounds"] == 1
+        assert [["a", 99], ["b", 99]] not in [r["point"] for r in records]
+        _result, checkpointer = run_checkpointed(path, resume=True)
+        assert checkpointer.restored_records == len(records)
 
 
 # ---------------------------------------------------------------------------
