@@ -36,12 +36,10 @@ def compact_atlas(
     atlas = DesignAtlas(path)
     records_before = atlas.compact(frontier_only)
 
-    # Reload the rewritten file so the index sidecar matches what is
-    # actually on disk (frontier_only drops records the old in-memory
-    # view still holds).
-    compacted = DesignAtlas(path)
-    stats_after = compacted.stats()
-    compacted.close()
+    # Reload the rewritten file so the report counts what is actually
+    # on disk (frontier_only drops records the old in-memory view still
+    # holds).
+    stats_after = DesignAtlas(path).stats()
     bytes_after = path.stat().st_size
     return {
         "path": str(path),

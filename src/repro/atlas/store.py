@@ -8,11 +8,9 @@ fingerprint a descriptor — driver kind, normalized spec features, goal
 signature, frontier axes — so future scenarios can find their nearest
 stored neighbors without ever reconstructing the original spec.
 
-The on-disk format is append-only JSONL (one ``scenario`` descriptor
-line per fingerprint, one ``record`` line per priced point, eagerly
-flushed) with an atomic JSON index sidecar (``<path>.index.json``)
-summarizing per-scenario counts for cheap inspection; the JSONL file
-remains the source of truth.
+The on-disk format is append-only JSONL: one ``scenario`` descriptor
+line per fingerprint and one ``record`` line per priced point, eagerly
+flushed.
 
 **Shared across processes.**  A cluster's replicas point at one atlas
 file, so every query first merges the lines other writers appended
@@ -34,8 +32,8 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple, Union
 
 from repro.atlas.frontier import ParetoFrontier, frontier_objectives
 from repro.atlas.similarity import goal_signature, scenario_distance
-from repro.core.evaluation import EvaluationRecord
-from repro.core.jsonlog import JsonLog, atomic_write
+from repro.core.evaluation import FAILED_METRIC, EvaluationRecord
+from repro.core.jsonlog import JsonLog
 from repro.core.objectives import DesignGoal, Direction, Objective
 
 PointKey = Tuple[Tuple[str, Any], ...]
@@ -78,9 +76,9 @@ class _Scenario:
 class DesignAtlas:
     """Append-only JSONL library of scenarios, records, and frontiers.
 
-    Thread-safe.  Use as a context manager (or call :meth:`close`) so
-    the index sidecar reflects the final state; crash-interrupted runs
-    lose only the index freshness, never the JSONL records.
+    Thread-safe.  Holds no open file between calls: every read and
+    append opens the file under its lock, so there is nothing to close
+    and a crash loses no appended record.
     """
 
     def __init__(self, path: Union[str, Path]) -> None:
@@ -235,8 +233,10 @@ class DesignAtlas:
         """Fold one search's evaluation log into the library.
 
         Every record is kept for exact-scenario replay; only records at
-        ``max_fidelity`` (exact) feed the Pareto frontier.  Returns
-        ``{"ingested": new-or-improved records, "frontier": size}``.
+        ``max_fidelity`` (exact) feed the Pareto frontier.  Records
+        standing in for a failed evaluation (:data:`FAILED_METRIC`) are
+        skipped.  Returns ``{"ingested": new-or-improved records,
+        "frontier": size}``.
         """
         self.register_scenario(fingerprint, kind, features, goal)
         ingested = 0
@@ -244,6 +244,8 @@ class DesignAtlas:
             scenario = self._scenarios[fingerprint]
             entries: List[Dict[str, Any]] = []
             for record in records:
+                if FAILED_METRIC in record.metrics:
+                    continue
                 key = tuple((str(k), v) for k, v in record.point)
                 metrics = {
                     str(k): float(v) for k, v in record.metrics.items()
@@ -348,28 +350,7 @@ class DesignAtlas:
                 "skipped": self.n_skipped,
             }
 
-    # -- index sidecar / compaction / lifecycle --------------------------
-
-    @property
-    def index_path(self) -> Path:
-        return Path(str(self.path) + ".index.json")
-
-    def _write_index(self) -> None:
-        index = {
-            "schema": ATLAS_SCHEMA_VERSION,
-            "scenarios": {
-                fingerprint: {
-                    "kind": scenario.kind,
-                    "goal": scenario.signature,
-                    "records": len(scenario.records),
-                    "frontier": len(scenario.frontier),
-                }
-                for fingerprint, scenario in self._scenarios.items()
-            },
-        }
-        atomic_write(
-            self.index_path, json.dumps(index, indent=2, sort_keys=True) + "\n"
-        )
+    # -- compaction / lifecycle ------------------------------------------
 
     def _canonical_entries(self, frontier_only: bool) -> List[Dict[str, Any]]:
         """One scenario line per fingerprint followed by its records.
@@ -413,9 +394,7 @@ class DesignAtlas:
             return self.n_record_lines
 
     def close(self) -> None:
-        with self._lock:
-            if self._scenarios:
-                self._write_index()
+        """Nothing to release; kept so ``with DesignAtlas(...)`` reads well."""
 
     def __enter__(self) -> "DesignAtlas":
         return self

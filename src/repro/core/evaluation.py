@@ -27,6 +27,12 @@ from repro.observability.trace import get_tracer
 
 Metrics = Dict[str, float]
 
+#: Metric marking an answer that stands in for a failed evaluation (the
+#: retry/quarantine shim's).  Such a record answers requests within its
+#: run, but is never written to the persistent cache or the design
+#: atlas, so a transient failure does not outlive the run.
+FAILED_METRIC = "evaluation_failed"
+
 
 class Evaluator(Protocol):
     """Anything that can price a design point at a given fidelity.
@@ -343,7 +349,7 @@ class CachingEvaluator:
                 metrics = dict(evaluation.metrics)
                 histogram.observe(evaluation.elapsed_s)
                 self._cache[key] = (fidelity, metrics)
-                if self.store is not None:
+                if self.store is not None and FAILED_METRIC not in metrics:
                     self.store.put(
                         self._fingerprint,
                         key,

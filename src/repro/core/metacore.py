@@ -24,7 +24,7 @@ import importlib
 from dataclasses import dataclass, field, replace
 from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
 
-from repro.core.evalcache import PersistentEvalCache
+from repro.core.evalcache import PersistentEvalCache, evaluator_fingerprint
 from repro.core.parallel import evaluator_stack
 from repro.core.parameters import DesignSpace, Point
 from repro.core.search import MetacoreSearch, SearchConfig, SearchResult
@@ -152,36 +152,68 @@ class MetaCore:
         """The definition's space with this MetaCore's fixed parameters."""
         return self.definition.design_space(self.fixed)
 
-    def _open_atlas(self, engine):
-        """(atlas, seeder) for this scenario, or (None, None)."""
-        if not self.atlas_path:
-            return None, None
+    def _search_with(self, evaluator, engine, atlas=None, store=None):
+        """Run one search on ``evaluator``; every search is built here.
+
+        ``engine`` is the base engine under ``evaluator``: its
+        fingerprint keys the atlas scenario.  With an open ``atlas`` the
+        search warm-starts from it and its log is ingested back into
+        it; ``store`` is the persistent cross-run cache.  The facade's
+        entry points and the service's searches all run through here.
+        """
         # Imported lazily: repro.atlas looks definitions up here.
-        from repro.atlas import DesignAtlas, seeder_for
+        from repro.atlas import ingest_result, seeder_for
 
-        atlas = DesignAtlas(self.atlas_path)
-        seeder = seeder_for(
-            atlas, engine, self.definition.kind, self.spec, self.spec.goal()
-        )
-        return atlas, seeder
+        goal = self.spec.goal()
+        seeder = None
+        if atlas is not None:
+            seeder = seeder_for(
+                atlas, engine, self.definition.kind, self.spec, goal
+            )
+        result = MetacoreSearch(
+            self.design_space(),
+            goal,
+            evaluator,
+            config=self.config,
+            normalizer=self.definition.normalizer,
+            store=store,
+            atlas=seeder,
+        ).run()
+        if seeder is not None:
+            ingest_result(
+                atlas, seeder, result.log.records, engine.max_fidelity
+            )
+        return result
 
-    def _run(self, atlas=None, seeder=None):
-        """Run one search; the single setup path of every entry point.
+    def _recommend_with(self, atlas, fingerprint, constraints, search):
+        """Answer ``constraints`` from ``atlas``; call ``search()`` on a miss.
+
+        ``fingerprint`` is the base engine's; ``search`` runs
+        :meth:`_search_with` on the same open atlas.
+        """
+        from repro.atlas import recommend
+
+        goal = self.spec.goal()
+        return recommend(atlas, fingerprint, goal, constraints, search)
+
+    def _run(self, atlas=None):
+        """Run one search through the facade's evaluator chain.
 
         Builds the engine, the evaluator chain (pool, retry/quarantine
-        shim, checkpoint) and the persistent store, opens the atlas
-        unless an open handle is passed, ingests the finished log, and
-        closes what it opened.  Returns ``(result, checkpointer,
-        shim)``, the last two None when absent.
+        shim, checkpoint) and the persistent store, opens the atlas at
+        :attr:`atlas_path` unless an open one is passed, runs
+        :meth:`_search_with`, and closes what it opened.  Returns
+        ``(result, checkpointer, shim)``, the last two None when absent.
         """
         engine = self._engine()
+        if atlas is None and self.atlas_path:
+            from repro.atlas import DesignAtlas
+
+            atlas = DesignAtlas(self.atlas_path)
         # No worker starts before the first batch, inside the try below.
         stack = evaluator_stack(
             engine, workers=self.workers, resilient=self.resilient
         )
-        owns_atlas = atlas is None
-        if owns_atlas:
-            atlas, seeder = self._open_atlas(engine)
         store: Optional[PersistentEvalCache] = None
         try:
             evaluator = stack.evaluator
@@ -198,28 +230,12 @@ class MetaCore:
                 )
             if self.cache_path:
                 store = PersistentEvalCache(self.cache_path)
-            result = MetacoreSearch(
-                self.design_space(),
-                self.spec.goal(),
-                evaluator,
-                config=self.config,
-                normalizer=self.definition.normalizer,
-                store=store,
-                atlas=seeder,
-            ).run()
-            if atlas is not None:
-                from repro.atlas import ingest_result
-
-                ingest_result(
-                    atlas, seeder, result.log.records, engine.max_fidelity
-                )
+            result = self._search_with(evaluator, engine, atlas, store)
             return result, checkpointer, stack.shim
         finally:
             stack.close()
             if store is not None:
                 store.close()
-            if owns_atlas and atlas is not None:
-                atlas.close()
 
     def search(self) -> SearchResult:
         """Run the multiresolution search for this specification."""
@@ -300,19 +316,15 @@ class MetaCore:
         """
         if not self.atlas_path:
             raise ConfigurationError("recommend requires atlas_path")
-        from repro.atlas import recommend
+        from repro.atlas import DesignAtlas
 
-        atlas, seeder = self._open_atlas(self._engine())
-        try:
-            return recommend(
-                atlas,
-                seeder.fingerprint,
-                self.spec.goal(),
-                constraints=constraints,
-                fallback=lambda: self._run(atlas, seeder)[0],
-            )
-        finally:
-            atlas.close()
+        atlas = DesignAtlas(self.atlas_path)
+        return self._recommend_with(
+            atlas,
+            evaluator_fingerprint(self._engine()),
+            constraints,
+            lambda: self._run(atlas)[0],
+        )
 
     def sweep(
         self,

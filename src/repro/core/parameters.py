@@ -165,7 +165,9 @@ class DesignSpace:
         """This space with the ``fixed`` parameters pinned to one value.
 
         The paper pins G and N "to speedup the search process"; a pinned
-        discrete value must be one of the parameter's values.
+        discrete value must be one of the parameter's values, a pinned
+        continuous value a number.  An unknown name or a bad value
+        raises :class:`ConfigurationError`.
         """
         fixed = dict(fixed or {})
         unknown = sorted(set(fixed) - set(self.names))
@@ -175,12 +177,17 @@ class DesignSpace:
         for parameter in self.parameters:
             if parameter.name in fixed:
                 value = fixed[parameter.name]
-                if isinstance(parameter, DiscreteParameter):
-                    parameter.index_of(value)  # raises if absent
-                    parameter = replace(parameter, values=(value,))
-                else:
-                    value = float(value)
-                    parameter = replace(parameter, lower=value, upper=value)
+                try:
+                    if isinstance(parameter, DiscreteParameter):
+                        parameter.index_of(value)  # raises if absent
+                        parameter = replace(parameter, values=(value,))
+                    else:
+                        value = float(value)
+                        parameter = replace(parameter, lower=value, upper=value)
+                except (DesignSpaceError, TypeError, ValueError) as exc:
+                    raise ConfigurationError(
+                        f"fixed parameter {parameter.name}: {exc}"
+                    ) from None
             parameters.append(parameter)
         return DesignSpace(parameters)
 

@@ -42,38 +42,33 @@ from repro.observability.metrics import get_registry
 from repro.observability.trace import get_tracer
 
 
+#: Resolution added per recursion (Fig. 6's Resolution_Increment).  Each
+#: grid's evaluation budget is ``DEFAULT_MAX_GRID_POINTS`` (the paper's
+#: "up to 256 instances").
+RESOLUTION_INCREMENT = 1
+#: How many top-ranked candidates the confirmation pass re-prices; with
+#: noisy cheap evaluations the cheapest *apparent* winner is not always
+#: the true one.
+CONFIRM_TOP_K = 3
+
+
 @dataclass
 class SearchConfig:
     """Knobs of the multiresolution search."""
 
     #: Recursion depth: resolution levels 0 .. max_resolution.
     max_resolution: int = 2
-    #: Resolution added per recursion (Fig. 6's Resolution_Increment).
-    resolution_increment: int = 1
-    #: Evaluation budget per grid (the paper's "up to 256 instances").
-    max_grid_points: int = DEFAULT_MAX_GRID_POINTS
     #: Number of promising points whose regions are refined per level.
     refine_top_k: int = 3
     #: Use the Bayesian neighbor predictor for probabilistic metrics.
     use_bayesian_ber: bool = True
     #: Re-evaluate the winner at the evaluator's top fidelity.
     confirm_best: bool = True
-    #: How many top-ranked candidates the confirmation pass re-prices;
-    #: with noisy cheap evaluations the cheapest *apparent* winner is
-    #: not always the true one.
-    confirm_top_k: int = 3
     #: Exploration strategy: "grid" (the paper's multiresolution
     #: funnel) or "evolve" (seeded tournament selection + mutation).
     #: See :mod:`repro.core.strategies` and
     #: ``docs/search-strategies.md``.
     strategy: str = "grid"
-    #: Master seed for strategy-internal randomness (the evolutionary
-    #: mode); every draw derives from it deterministically.
-    strategy_seed: int = 20010618
-    #: Offspring bred (and priced) per evolutionary generation.
-    evolve_population: int = 12
-    #: Evolutionary generations after the coarse-grid seeding round.
-    evolve_generations: int = 5
 
 
 @dataclass
@@ -338,7 +333,7 @@ class MetacoreSearch:
                 metrics = self._apply_bayes(point, dict(raw_metrics))
                 self._record_ranked(frozen_point(point), metrics)
             full = Region.full(self.space)
-            grid = full.grid(0, self.config.max_grid_points)
+            grid = full.grid(0, DEFAULT_MAX_GRID_POINTS)
             for point, exact in zip(points, exact_flags):
                 if exact:
                     continue  # its own frontier is already refined
@@ -358,7 +353,7 @@ class MetacoreSearch:
         """Re-price the top-ranked candidates at full fidelity.
 
         Cheap evaluations rank; expensive ones decide.  The top
-        ``confirm_top_k`` candidates by the search's (possibly noisy)
+        :data:`CONFIRM_TOP_K` candidates by the search's (possibly noisy)
         ranking are re-evaluated at the evaluator's highest fidelity
         and compared on the confirmed numbers.  ``ranked`` restricts
         the walk to an alternative candidate pool (the atlas warm
@@ -379,7 +374,7 @@ class MetacoreSearch:
             return key, ranked[key]
         best_key: Optional[Tuple] = None
         best_metrics: Optional[Metrics] = None
-        top_k = max(1, self.config.confirm_top_k)
+        top_k = CONFIRM_TOP_K
         # The first top_k confirmations always happen — batch them so a
         # parallel evaluator overlaps the expensive full-fidelity runs.
         # The loop below then answers them from the cache; running this
@@ -395,7 +390,7 @@ class MetacoreSearch:
         # while the misses are *near* misses; grossly infeasible
         # confirmations mean the spec is out of reach and further
         # expensive confirmations are wasted.
-        extended_cap = max(top_k, 4 * top_k)
+        extended_cap = 4 * top_k
         near_miss_violation = 0.5
         for index, key in enumerate(ranked_keys):
             if index >= top_k:
@@ -504,8 +499,8 @@ class MetacoreSearch:
         registry = get_registry()
         registry.counter("search.regions").inc()
         with get_tracer().span("search.region", level=level) as region_span:
-            resolution = level * self.config.resolution_increment
-            grid = region.grid(resolution, self.config.max_grid_points)
+            resolution = level * RESOLUTION_INCREMENT
+            grid = region.grid(resolution, DEFAULT_MAX_GRID_POINTS)
             fidelity = self._fidelity_for_level(level)
             evaluated = self._evaluate_grid(grid, fidelity)
             registry.counter("search.grid_points").inc(len(grid.points))

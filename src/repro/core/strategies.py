@@ -9,7 +9,7 @@ checkpoints, atlas warm starts and the serve layer compose with it
 unchanged.  The coarse grid seeds an initial population, then
 tournament selection plus neighbor mutation breed offspring
 generations at escalating fidelity.  Every random draw derives from
-``SearchConfig.strategy_seed`` and the generation index alone, so
+:data:`STRATEGY_SEED` and the generation index alone, so
 serial, parallel and checkpoint-resumed runs take bit-identical paths.
 
 The strategy leaves its candidates in the search's ranked map and lets
@@ -27,7 +27,7 @@ import numpy as np
 
 from repro.core.baselines import _random_point
 from repro.core.evaluation import Metrics
-from repro.core.grid import Region
+from repro.core.grid import DEFAULT_MAX_GRID_POINTS, Region
 from repro.core.parameters import (
     ContinuousParameter,
     Correlation,
@@ -43,6 +43,13 @@ from repro.utils.rng import spawn_rng
 
 #: The strategies :class:`repro.core.search.MetacoreSearch` dispatches on.
 STRATEGIES = ("grid", "evolve")
+
+#: Master seed of the evolutionary strategy: every draw derives from it.
+STRATEGY_SEED = 20010618
+#: Offspring bred (and priced) per evolutionary generation.
+EVOLVE_POPULATION = 12
+#: Evolutionary generations after the coarse-grid seeding round.
+EVOLVE_GENERATIONS = 5
 
 
 def validate_strategy(name: str) -> str:
@@ -61,14 +68,14 @@ class EvolutionaryStrategy:
 
     The coarse grid (the same one the grid funnel starts from) seeds
     and prices the initial population at fidelity 0; each generation
-    then breeds ``evolve_population`` offspring by binary tournament
+    then breeds :data:`EVOLVE_POPULATION` offspring by binary tournament
     over the current elite and a neighbor mutation of the winner, and
     prices them at a fidelity that escalates with the generation index
     — cheap early exploration, accurate late refinement, exactly the
     funnel's schedule.
 
     Determinism: each generation's RNG is
-    ``spawn_rng(strategy_seed, "evolve", generation)`` and offspring
+    ``spawn_rng(STRATEGY_SEED, "evolve", generation)`` and offspring
     are bred serially before the batch is priced, so the path depends
     only on the seed and the (deterministic) evaluated metrics — never
     on timing, worker count, or checkpoint replay.
@@ -90,8 +97,7 @@ class EvolutionaryStrategy:
         config = search.config
         registry = get_registry()
         tracer = get_tracer()
-        population_size = max(2, int(config.evolve_population))
-        generations = max(0, int(config.evolve_generations))
+        population_size = EVOLVE_POPULATION
         hits_before = search.evaluator.cache_hits
         full = Region.full(search.space)
         search._regions_seen.add((full.bounds, 0))
@@ -106,12 +112,12 @@ class EvolutionaryStrategy:
                 search._record_ranked(frozen_point(seed), metrics)
             seed_span.set(seeds=len(seeds))
         population = self._elite(population_size)
-        for generation in range(1, generations + 1):
+        for generation in range(1, EVOLVE_GENERATIONS + 1):
             if not population:
                 break
             level = min(generation, config.max_resolution)
             fidelity = search._fidelity_for_level(level)
-            rng = spawn_rng(config.strategy_seed, "evolve", generation)
+            rng = spawn_rng(STRATEGY_SEED, "evolve", generation)
             offspring: List[Point] = []
             batch_keys: set = set()
             for _ in range(population_size):
@@ -153,8 +159,7 @@ class EvolutionaryStrategy:
         grid lacks.
         """
         search = self.search
-        config = search.config
-        grid = full.grid(0, config.max_grid_points)
+        grid = full.grid(0, DEFAULT_MAX_GRID_POINTS)
         seeds: List[Point] = []
         seen: set = set()
         for raw in grid.points:
@@ -164,7 +169,7 @@ class EvolutionaryStrategy:
                 continue
             seen.add(key)
             seeds.append(point)
-        rng = spawn_rng(config.strategy_seed, "evolve", "init")
+        rng = spawn_rng(STRATEGY_SEED, "evolve", "init")
         attempts = 0
         while len(seeds) < population_size and attempts < 20 * population_size:
             attempts += 1

@@ -16,7 +16,7 @@ from typing import Optional
 from repro.errors import FilterDesignError
 from repro.iir.design import FilterSpec
 from repro.iir.structures.base import Realization
-from repro.iir.transfer import measure_bands
+from repro.iir.transfer import band_levels
 
 #: Default measurement grid density (the fidelity knob).
 DEFAULT_GRID_POINTS = 512
@@ -81,14 +81,14 @@ def check_quantized(
             stopband_level=float("inf"),
             realizable=True,
         )
-    measurement = measure_bands(
+    ripple, level = band_levels(
         tf, spec.passbands, spec.stopbands, grid_points=grid_points
     )
     return QuantizationReport(
         word_length=word_length,
         stable=True,
-        passband_ripple=measurement.passband_ripple,
-        stopband_level=measurement.stopband_level,
+        passband_ripple=ripple,
+        stopband_level=level,
         realizable=True,
     )
 

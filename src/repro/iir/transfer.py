@@ -195,6 +195,31 @@ def measure_bands(
     )
 
 
+def band_levels(
+    tf: TransferFunction,
+    passbands: Sequence[Tuple[float, float]],
+    stopbands: Sequence[Tuple[float, float]],
+    grid_points: int = 512,
+) -> Tuple[float, float]:
+    """(passband ripple, stopband level), as :func:`measure_bands` has them.
+
+    The part of the measurement a quantization check reads: the same
+    grids and the same operations in the same order, without the peak
+    gain and the 3-dB edges (a 4x-denser grid of ``log10`` work).
+    """
+    if grid_points < 16:
+        raise FilterDesignError("need at least 16 grid points")
+    ripple = 0.0
+    for low, high in passbands:
+        mag = tf.magnitude(np.linspace(low, high, grid_points))
+        ripple = max(ripple, float(np.max(np.abs(mag - 1.0))))
+    level = 0.0
+    for low, high in stopbands:
+        omega = np.linspace(low, high, grid_points)
+        level = max(level, float(np.max(tf.magnitude(omega))))
+    return ripple, level
+
+
 def _three_db_edges(
     tf: TransferFunction,
     passbands: Sequence[Tuple[float, float]],

@@ -12,10 +12,11 @@ should the search re-pay a known-bad point every round.  The
 - **bounded retry with backoff** — each failing point is retried up to
   ``max_retries`` times with exponential backoff (transient failures
   such as a briefly broken pool heal themselves);
-- **quarantine** — a point that exhausts its retries (or exceeds the
-  per-point ``timeout_s`` budget) is quarantined: it is answered with
-  ``failure_metrics`` (infinitely bad, so the search discards it) and
-  never sent to the inner evaluator again.
+- **quarantine** — a point that exhausts its retries is quarantined:
+  it is answered with :data:`DEFAULT_FAILURE_METRICS` (infinitely bad,
+  so the search discards it) and never sent to the inner evaluator
+  again.  Caches keep that answer for the run but never persist it (see
+  :data:`~repro.core.evaluation.FAILED_METRIC`).
 
 Retries and quarantines are visible in the observability layer
 (``resilience.retry``/``resilience.quarantine`` events and matching
@@ -30,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.evalcache import evaluator_fingerprint
 from repro.core.evaluation import (
+    FAILED_METRIC,
     Evaluator,
     Metrics,
     TimedEvaluation,
@@ -45,8 +47,13 @@ DEFAULT_FAILURE_METRICS: Dict[str, float] = {
     "area_mm2": math.inf,
     "ber_violation": math.inf,
     "spec_violation": math.inf,
-    "evaluation_failed": 1.0,
+    FAILED_METRIC: 1.0,
 }
+
+
+def _failed() -> TimedEvaluation:
+    """The answer to a quarantined point."""
+    return TimedEvaluation(metrics=dict(DEFAULT_FAILURE_METRICS), elapsed_s=0.0)
 
 
 class ResilientEvaluator:
@@ -62,13 +69,6 @@ class ResilientEvaluator:
     backoff_s:
         Sleep before retry ``i`` is ``backoff_s * 2**i`` (0 disables —
         useful in tests).
-    timeout_s:
-        Per-point wall-clock budget.  The evaluation itself is not
-        interrupted (the evaluator may run in this process), but a
-        point whose successful evaluation exceeded the budget is
-        quarantined afterwards so later rounds never pay it again.
-    failure_metrics:
-        The record answered for quarantined points.
     """
 
     def __init__(
@@ -76,16 +76,10 @@ class ResilientEvaluator:
         inner: Evaluator,
         max_retries: int = 2,
         backoff_s: float = 0.1,
-        timeout_s: Optional[float] = None,
-        failure_metrics: Optional[Metrics] = None,
     ) -> None:
         self.inner = inner
         self.max_retries = max(0, int(max_retries))
         self.backoff_s = max(0.0, float(backoff_s))
-        self.timeout_s = timeout_s
-        self.failure_metrics = dict(
-            failure_metrics if failure_metrics is not None else DEFAULT_FAILURE_METRICS
-        )
         #: frozen point -> human-readable reason it was quarantined.
         self.quarantine: Dict[Tuple, str] = {}
         self.n_retries = 0
@@ -120,9 +114,7 @@ class ResilientEvaluator:
         live: List[Tuple[int, Point]] = []
         for index, point in enumerate(points):
             if frozen_point(point) in self.quarantine:
-                results[index] = TimedEvaluation(
-                    metrics=dict(self.failure_metrics), elapsed_s=0.0
-                )
+                results[index] = _failed()
             else:
                 live.append((index, point))
         if live:
@@ -130,8 +122,8 @@ class ResilientEvaluator:
                 timed = evaluate_many_timed(
                     self.inner, [p for _, p in live], fidelity
                 )
-                for (index, point), evaluation in zip(live, timed):
-                    results[index] = self._postcheck(point, evaluation)
+                for (index, _point), evaluation in zip(live, timed):
+                    results[index] = evaluation
             except Exception as exc:
                 trace_event(
                     "resilience.batch_fallback",
@@ -148,7 +140,7 @@ class ResilientEvaluator:
     def _evaluate_one(self, point: Point, fidelity: int) -> TimedEvaluation:
         key = frozen_point(point)
         if key in self.quarantine:
-            return TimedEvaluation(metrics=dict(self.failure_metrics), elapsed_s=0.0)
+            return _failed()
         last_error: Optional[BaseException] = None
         for attempt in range(self.max_retries + 1):
             if attempt:
@@ -167,30 +159,13 @@ class ResilientEvaluator:
             except Exception as exc:
                 last_error = exc
                 continue
-            evaluation = TimedEvaluation(
+            return TimedEvaluation(
                 metrics=dict(metrics), elapsed_s=time.perf_counter() - start
             )
-            return self._postcheck(point, evaluation)
         self._quarantine(
             key, f"failed {self.max_retries + 1} attempts: {last_error!r}"
         )
-        return TimedEvaluation(metrics=dict(self.failure_metrics), elapsed_s=0.0)
-
-    def _postcheck(
-        self, point: Point, evaluation: TimedEvaluation
-    ) -> TimedEvaluation:
-        """Quarantine budget-busting points after a successful run.
-
-        The completed result is still used — it was paid for — but the
-        point will not be priced again.
-        """
-        if self.timeout_s is not None and evaluation.elapsed_s > self.timeout_s:
-            self._quarantine(
-                frozen_point(point),
-                f"exceeded {self.timeout_s:.3g}s budget "
-                f"({evaluation.elapsed_s:.3g}s)",
-            )
-        return evaluation
+        return _failed()
 
     def _quarantine(self, key: Tuple, reason: str) -> None:
         if key in self.quarantine:

@@ -15,7 +15,7 @@ Operations
     Service counters: queue depth, sessions, batch/latency statistics.
 ``eval``
     Price one design point: ``metacore``/``spec`` (or a pre-registered
-    ``session`` name), ``point``, ``fidelity``.
+    ``session`` name), ``point``, ``fidelity``, optional ``timeout_s``.
 ``search``
     Run a full multiresolution search for a spec: ``metacore``/``spec``
     plus optional ``config`` (SearchConfig fields) and ``fixed``
@@ -32,6 +32,9 @@ Operations
 ``shutdown``
     Ask the server to stop accepting work and exit cleanly.
 
+Every request field has one type (:func:`request_field`); a field of
+the wrong type answers ``bad_request``.
+
 Specifications travel as plain-dict payloads (:func:`spec_to_payload` /
 :func:`spec_from_payload`) so the same request can be issued from any
 language; metric floats round-trip exactly (JSON ``repr`` shortest
@@ -41,8 +44,9 @@ round-trip), which the bit-identical conformance suite relies on.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import fields
-from typing import Any, Dict
+from typing import Any, Callable, Dict, Tuple
 
 from repro.core.metacore import definition_for_spec, metacore_definition
 from repro.core.search import SearchConfig
@@ -161,3 +165,52 @@ def search_config_from_payload(payload: Any) -> SearchConfig:
     config = SearchConfig(**payload)
     validate_strategy(config.strategy)
     return config
+
+
+def _is_number(value: Any) -> bool:
+    """A finite JSON number (a bool is not a number)."""
+    return (
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and abs(value) <= sys.float_info.max
+    )
+
+
+def _is_scalar(value: Any) -> bool:
+    return isinstance(value, (str, bool)) or _is_number(value)
+
+
+def _object_of(check: Callable[[Any], bool]) -> Callable[[Any], bool]:
+    return lambda value: value is None or (
+        isinstance(value, dict) and all(map(check, value.values()))
+    )
+
+
+#: Request field -> (type check, what the check accepts).
+REQUEST_FIELDS: Dict[str, Tuple[Callable[[Any], bool], str]] = {
+    "session": (lambda v: v is None or isinstance(v, str), "a string or null"),
+    "point": (_object_of(_is_scalar), "an object of scalars or null"),
+    "fidelity": (lambda v: type(v) is int, "an integer"),
+    "timeout_s": (
+        lambda v: v is None or (_is_number(v) and v > 0),
+        "a positive number or null",
+    ),
+    "fixed": (_object_of(_is_scalar), "an object of scalars or null"),
+    "constraints": (_object_of(_is_number), "an object of numbers or null"),
+}
+
+
+def request_field(message: Dict[str, Any], name: str, default: Any = None) -> Any:
+    """The ``name`` field of a request, type-checked (``default`` when absent).
+
+    A value that fails its :data:`REQUEST_FIELDS` check raises
+    :class:`ConfigurationError`, which the server answers as
+    ``bad_request``.  Numbers are finite; a bool is neither a number nor
+    the integer ``fidelity``.
+    """
+    if name not in message:
+        return default
+    check, expected = REQUEST_FIELDS[name]
+    if not check(message[name]):
+        raise ConfigurationError(f"request field {name!r} must be {expected}")
+    return message[name]

@@ -32,6 +32,7 @@ from repro.serve.protocol import (
     encode_message,
     error_response,
     ok_response,
+    request_field,
 )
 from repro.serve.service import (
     EvaluationService,
@@ -180,6 +181,12 @@ class ServeServer:
             except (ConnectionError, OSError):
                 pass  # client went away; the work is already accounted
 
+    def _session(self, message: Dict[str, Any]):
+        """The service session a request's ``spec`` or ``session`` names."""
+        return self.service.resolve_session(
+            message.get("spec"), request_field(message, "session")
+        )
+
     async def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
         op = message.get("op")
         request_id = message.get("id")
@@ -190,39 +197,35 @@ class ServeServer:
         if op == "status":
             return ok_response(request_id, self.service.status())
         if op == "eval":
-            session = self.service.resolve_session(
-                message.get("spec"), message.get("session")
+            point = request_field(message, "point")
+            fidelity = request_field(message, "fidelity", 0)
+            timeout = request_field(
+                message, "timeout_s", EvaluationService._UNSET
             )
-            timeout = message.get("timeout_s", EvaluationService._UNSET)
+            session = self._session(message)
             metrics = await self.service.submit_point(
-                session,
-                dict(message.get("point") or {}),
-                int(message.get("fidelity", 0)),
-                timeout_s=timeout,
+                session, dict(point or {}), fidelity, timeout_s=timeout
             )
             return ok_response(
                 request_id,
                 {"metrics": dict(metrics), "session": session.name},
             )
         if op == "search":
-            session = self.service.resolve_session(
-                message.get("spec"), message.get("session")
-            )
+            fixed = request_field(message, "fixed")
             result = await self.service.submit_search(
-                session,
+                self._session(message),
                 config_fields=message.get("config"),
-                fixed=message.get("fixed"),
+                fixed=fixed,
             )
             return ok_response(request_id, result)
         if op == "recommend":
-            session = self.service.resolve_session(
-                message.get("spec"), message.get("session")
-            )
+            constraints = request_field(message, "constraints")
+            fixed = request_field(message, "fixed")
             result = await self.service.submit_recommend(
-                session,
-                constraints=message.get("constraints"),
+                self._session(message),
+                constraints=constraints,
                 config_fields=message.get("config"),
-                fixed=message.get("fixed"),
+                fixed=fixed,
             )
             return ok_response(request_id, result)
         if op == "drain":

@@ -42,10 +42,9 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.evalcache import PersistentEvalCache, evaluator_fingerprint
 from repro.core.evaluation import CachingEvaluator, Evaluator, Metrics
-from repro.core.metacore import definition_for_spec, metacore_definition
+from repro.core.metacore import MetaCore, definition_for_spec
 from repro.core.parallel import evaluator_stack
 from repro.core.parameters import Point
-from repro.core.search import MetacoreSearch, SearchConfig
 from repro.errors import ConfigurationError
 from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.observability.trace import get_tracer
@@ -362,8 +361,6 @@ class EvaluationService:
             session.close()
         if self.store is not None:
             self.store.close()
-        if self.atlas is not None:
-            self.atlas.close()
 
     # -- sessions --------------------------------------------------------
 
@@ -562,6 +559,37 @@ class EvaluationService:
 
     # -- searches --------------------------------------------------------
 
+    def _metacore(
+        self,
+        session: EvaluatorSession,
+        config_fields: Optional[Dict[str, Any]],
+        fixed: Optional[Dict[str, Any]],
+    ) -> MetaCore:
+        """The facade a served search or recommendation runs through."""
+        if session.spec is None:
+            raise ConfigurationError(
+                f"session {session.name!r} has no specification; "
+                "searches and recommendations need a spec-backed session"
+            )
+        definition = definition_for_spec(session.spec)
+        return MetaCore(
+            session.spec,
+            fixed=dict(fixed or definition.default_fixed),
+            config=search_config_from_payload(config_fields),
+        )
+
+    def _search(self, session: EvaluatorSession, metacore: MetaCore):
+        """Run the facade's search step on the session's evaluator.
+
+        The search prices its points on the calling (search-executor)
+        thread through :class:`_ServeEvaluatorProxy`, warm-starts from
+        the service's atlas and ingests its log back into it.
+        """
+        with get_tracer().span("serve.search", session=session.kind):
+            return metacore._search_with(
+                _ServeEvaluatorProxy(self, session), session.inner, self.atlas
+            )
+
     async def submit_search(
         self,
         session: EvaluatorSession,
@@ -576,45 +604,14 @@ class EvaluationService:
         specification.
         """
         self._check_accepting()
-        if session.spec is None:
-            raise ConfigurationError(
-                f"session {session.name!r} has no specification; "
-                "searches need a spec-backed session"
-            )
-        config = search_config_from_payload(config_fields)
+        metacore = self._metacore(session, config_fields, fixed)
         self.n_searches += 1
         for registry in self._registries():
             registry.counter("serve.searches").inc()
         assert self.loop is not None and self._search_executor is not None
-        return await self.loop.run_in_executor(
-            self._search_executor,
-            self._run_search_sync,
-            session,
-            config,
-            dict(fixed or {}),
+        result = await self.loop.run_in_executor(
+            self._search_executor, self._search, session, metacore
         )
-
-    def _atlas_seeder(self, session: EvaluatorSession):
-        """The session's atlas seed source, or None (no atlas / no spec)."""
-        if self.atlas is None or session.spec is None:
-            return None
-        from repro.atlas import seeder_for
-
-        return seeder_for(
-            self.atlas,
-            session.inner,
-            session.kind,
-            session.spec,
-            session.spec.goal(),
-        )
-
-    def _run_search_sync(
-        self,
-        session: EvaluatorSession,
-        config: SearchConfig,
-        fixed: Dict[str, Any],
-    ) -> Dict[str, Any]:
-        result = self._search_result(session, config, fixed)
         return {
             "feasible": result.feasible,
             "best_point": result.best_point,
@@ -628,38 +625,6 @@ class EvaluationService:
             "summary": result.summary(),
         }
 
-    def _search_result(
-        self,
-        session: EvaluatorSession,
-        config: SearchConfig,
-        fixed: Dict[str, Any],
-    ):
-        definition = metacore_definition(session.kind)
-        space = definition.design_space(
-            fixed or dict(definition.default_fixed)
-        )
-        seeder = self._atlas_seeder(session)
-        searcher = MetacoreSearch(
-            space,
-            session.spec.goal(),
-            _ServeEvaluatorProxy(self, session),
-            config=config,
-            normalizer=definition.normalizer,
-            atlas=seeder,
-        )
-        with get_tracer().span("serve.search", session=session.kind):
-            result = searcher.run()
-        if seeder is not None:
-            from repro.atlas import ingest_result
-
-            ingest_result(
-                self.atlas,
-                seeder,
-                result.log.records,
-                session.evaluator.max_fidelity,
-            )
-        return result
-
     # -- recommendation --------------------------------------------------
 
     async def submit_recommend(
@@ -672,21 +637,16 @@ class EvaluationService:
         """Answer a constraint query from the service's design atlas.
 
         A library hit costs zero evaluations; a miss falls back to a
-        warm-started search on the search executor (sharing the
-        session's evaluator and cache) whose log is
-        ingested before the frontier is re-queried.
+        warm-started served search on the search executor (sharing the
+        session's evaluator and cache) whose log is ingested before the
+        frontier is re-queried.
         """
         self._check_accepting()
         if self.atlas is None:
             raise ConfigurationError(
                 "service has no atlas (start it with atlas_path)"
             )
-        if session.spec is None:
-            raise ConfigurationError(
-                f"session {session.name!r} has no specification; "
-                "recommendations need a spec-backed session"
-            )
-        config = search_config_from_payload(config_fields)
+        metacore = self._metacore(session, config_fields, fixed)
         self.n_recommends += 1
         for registry in self._registries():
             registry.counter("serve.recommends").inc()
@@ -695,29 +655,22 @@ class EvaluationService:
             self._search_executor,
             self._run_recommend_sync,
             session,
+            metacore,
             dict(constraints or {}),
-            config,
-            dict(fixed or {}),
         )
 
     def _run_recommend_sync(
         self,
         session: EvaluatorSession,
+        metacore: MetaCore,
         constraints: Dict[str, Any],
-        config: SearchConfig,
-        fixed: Dict[str, Any],
     ) -> Dict[str, Any]:
-        from repro.atlas import recommend
-
         with get_tracer().span("serve.recommend", session=session.kind):
-            recommendation = recommend(
+            recommendation = metacore._recommend_with(
                 self.atlas,
                 session.fingerprint,
-                session.spec.goal(),
-                constraints=constraints,
-                fallback=lambda: self._search_result(
-                    session, config, fixed
-                ),
+                constraints,
+                lambda: self._search(session, metacore),
             )
         self.metrics.counter(
             "atlas.hits" if recommendation.source == "atlas" else "atlas.misses"

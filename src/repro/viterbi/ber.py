@@ -30,6 +30,12 @@ from repro.viterbi.puncture import PuncturePattern
 #: Default master seed so example scripts and benchmarks are repeatable.
 DEFAULT_SEED = 20010618  # DAC 2001 opened June 18, 2001.
 
+#: Upper bound on the frames decoded in one call when adaptive batching
+#: grows the group.  It keeps the decoder's per-step working set
+#: (accumulated metrics, candidates, branch metrics) cache-resident;
+#: growing the group further is measurably slower, not faster.
+MAX_BATCH_FRAMES = 256
+
 
 @dataclass(frozen=True)
 class BERPoint:
@@ -104,7 +110,7 @@ class BERSimulator:
     adaptive_batching:
         When on (default), consecutive seed-batches are generated ahead
         and decoded as one larger frame batch, with the group size
-        growing geometrically up to ``max_batch_frames`` frames.  Frame
+        growing geometrically up to :data:`MAX_BATCH_FRAMES` frames.  Frame
         decoding is per-frame independent and every seed-batch keeps its
         own RNG stream, so measurements are *exactly* those of
         batch-at-a-time simulation — grouping only amortizes the fixed
@@ -112,12 +118,6 @@ class BERSimulator:
         that decode many error-free batches.  Decoders with a fault
         hook attached always run batch-at-a-time (fault streams are
         derived per decoded block).
-    max_batch_frames:
-        Upper bound on the frames decoded in one call when adaptive
-        batching grows the group.  The default keeps the decoder's
-        per-step working set (accumulated metrics, candidates, branch
-        metrics) cache-resident; growing the group further is measurably
-        slower, not faster.
     """
 
     def __init__(
@@ -128,21 +128,17 @@ class BERSimulator:
         seed: int = DEFAULT_SEED,
         puncture: Optional[PuncturePattern] = None,
         adaptive_batching: bool = True,
-        max_batch_frames: int = 256,
     ) -> None:
         if frame_length < 8:
             raise ConfigurationError("frame length must be at least 8 bits")
         if frames_per_batch < 1:
             raise ConfigurationError("need at least one frame per batch")
-        if max_batch_frames < 1:
-            raise ConfigurationError("max_batch_frames must be at least 1")
         self.encoder = encoder
         self.frame_length = int(frame_length)
         self.frames_per_batch = int(frames_per_batch)
         self.seed = int(seed)
         self.puncture = puncture
         self.adaptive_batching = bool(adaptive_batching)
-        self.max_batch_frames = int(max_batch_frames)
         if puncture is not None:
             if puncture.n_symbols != encoder.n_outputs:
                 raise ConfigurationError(
@@ -187,19 +183,6 @@ class BERSimulator:
             received = channel.transmit(symbols, rng)
         return bits, received
 
-    def _run_batch(
-        self,
-        decoder: ViterbiDecoder,
-        channel: AWGNChannel,
-        batch_seed: int,
-    ) -> Tuple[int, int]:
-        """Simulate one batch of frames; return (errors, bits)."""
-        bits, received = self._generate_frames(channel, batch_seed)
-        decoded = decoder.decode(received, sigma=channel.sigma)
-        data = decoded[..., : self.frame_length]
-        errors = int(np.count_nonzero(data != bits))
-        return errors, bits.size
-
     def measure(
         self,
         decoder: ViterbiDecoder,
@@ -235,7 +218,7 @@ class BERSimulator:
         # simulates batch-at-a-time.
         adaptive = self.adaptive_batching and hook is None
         kernel_name = decoder.active_kernel()
-        max_group = max(1, self.max_batch_frames // self.frames_per_batch)
+        max_group = max(1, MAX_BATCH_FRAMES // self.frames_per_batch)
         batch_bits = self.frames_per_batch * self.frame_length
         total_errors = 0
         total_bits = 0

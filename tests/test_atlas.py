@@ -18,6 +18,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import random
+import shutil
 import sys
 import threading
 import warnings
@@ -97,8 +98,6 @@ class TestStore:
         assert [dict(r.point)["x"] for r in front] == [2]
         info = reopened.scenario_info("fp1")
         assert info["records"] == 3 and info["frontier"] == 1
-        index = json.loads(reopened.index_path.read_text())
-        assert index["scenarios"]["fp1"]["records"] == 3
         assert "fp1" in format_atlas_report(reopened)
 
     def test_max_fidelity_wins_dedup(self, tmp_path):
@@ -405,6 +404,90 @@ class TestServeRecommend:
             with handle.client() as client:
                 with pytest.raises(ServeRequestError):
                     client.recommend(spec=spec_to_payload(spec))
+
+
+class TestServedMatchesFacade:
+    """A served search or recommendation is the facade's, on one atlas.
+
+    One cold facade search populates an atlas; each later query then
+    runs twice, on two copies of that file: once through the service,
+    once through ``MetaCore``.
+    """
+
+    SPEC_B = ViterbiSpec(1e6, BERThresholdCurve.single(4.0, 4e-2))
+
+    @pytest.fixture(scope="class")
+    def seeded_atlas(self, tmp_path_factory):
+        tmp_path = tmp_path_factory.mktemp("served-vs-facade")
+        tiny_metacore(tmp_path).search()
+        return tmp_path / "atlas.jsonl"
+
+    @staticmethod
+    def _copies(seeded_atlas, tmp_path):
+        paths = [tmp_path / "served.jsonl", tmp_path / "facade.jsonl"]
+        for path in paths:
+            shutil.copyfile(seeded_atlas, path)
+        return [str(path) for path in paths]
+
+    @staticmethod
+    def _served(atlas_path, op, spec, **fields):
+        from repro.serve import ServeHandle, ServiceConfig, spec_to_payload
+
+        with ServeHandle(ServiceConfig(atlas_path=atlas_path)) as handle:
+            with handle.client() as client:
+                return getattr(client, op)(
+                    spec=spec_to_payload(spec),
+                    config={"max_resolution": 1, "refine_top_k": 1},
+                    fixed=dict(FIXED),
+                    **fields,
+                )
+
+    @staticmethod
+    def _facade(atlas_path, spec):
+        from repro.core.metacore import MetaCore
+
+        return MetaCore(
+            spec, fixed=dict(FIXED), config=CONFIG, atlas_path=atlas_path
+        )
+
+    @pytest.mark.parametrize("neighbor", [False, True], ids=["same", "near"])
+    def test_second_search(self, seeded_atlas, tmp_path, neighbor):
+        spec = self.SPEC_B if neighbor else tiny_metacore(tmp_path).spec
+        served_path, facade_path = self._copies(seeded_atlas, tmp_path)
+        served = self._served(served_path, "search", spec)
+        direct = self._facade(facade_path, spec).search()
+        assert served["best_point"] == direct.best_point
+        assert json.dumps(served["best_metrics"], sort_keys=True) == (
+            json.dumps(dict(direct.best_metrics), sort_keys=True)
+        )
+        assert served["n_evaluations"] == direct.log.n_evaluations
+        assert served["atlas_seeds"] == direct.atlas_seeds > 0
+        assert served["atlas_replayed"] == direct.atlas_replayed
+        assert (direct.atlas_replayed > 0) != neighbor
+        # Both ingested the same log into their copy.
+        assert (
+            DesignAtlas(served_path).stats() | {"path": None}
+            == DesignAtlas(facade_path).stats() | {"path": None}
+        )
+
+    @pytest.mark.parametrize(
+        "neighbor, constraints",
+        [(False, {}), (True, {}), (False, {"area_mm2": 1e-9})],
+        ids=["hit", "miss", "infeasible"],
+    )
+    def test_recommend(self, seeded_atlas, tmp_path, neighbor, constraints):
+        spec = self.SPEC_B if neighbor else tiny_metacore(tmp_path).spec
+        served_path, facade_path = self._copies(seeded_atlas, tmp_path)
+        served = self._served(
+            served_path, "recommend", spec, constraints=constraints
+        )
+        direct = self._facade(facade_path, spec).recommend(constraints)
+        assert served["source"] == direct.source
+        assert served["point"] == direct.point
+        assert served["metrics"] == direct.metrics
+        assert served["n_evaluations"] == direct.n_evaluations
+        assert served["feasible"] == direct.feasible
+        assert (direct.source == "atlas") == (not neighbor and not constraints)
 
 
 class TestCompact:

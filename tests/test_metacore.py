@@ -243,6 +243,37 @@ class TestCustomDefinition:
         assert "session:" not in session.summary()
         assert "quarantined points (1):" in session.summary()
 
+    def test_quarantined_points_are_not_persisted(self, tmp_path):
+        """A quarantined point's failure answer stays in its run: the
+        next healthy run on the same cache and atlas selects as a cold
+        run does."""
+        from repro.atlas import DesignAtlas
+        from repro.core.evaluation import FAILED_METRIC
+
+        stores = dict(
+            cache_path=str(tmp_path / "cache.jsonl"),
+            atlas_path=str(tmp_path / "atlas.jsonl"),
+        )
+        cold = MetaCore(_ToySpec(6.0)).search()
+        assert cold.best_point == {"x": 6}
+        register_metacore(
+            dataclasses.replace(TOY, evaluator=_PoisonedToyEvaluator)
+        )
+        poisoned = MetaCore(_ToySpec(6.0), resilient=True, **stores)
+        session = poisoned.search_session()
+        assert session.quarantined and session.result.best_point != {"x": 6}
+        register_metacore(TOY)
+        atlas = DesignAtlas(stores["atlas_path"])
+        (fingerprint,) = atlas.fingerprints()
+        assert not [
+            record
+            for record in atlas.replay(fingerprint)
+            if FAILED_METRIC in record.metrics
+        ]
+        healthy = MetaCore(_ToySpec(6.0), **stores).search()
+        assert healthy.best_point == cold.best_point
+        assert healthy.best_metrics == cold.best_metrics
+
     def test_checkpoint_resilient_and_workers_compose(self, tmp_path):
         register_metacore(
             dataclasses.replace(TOY, evaluator=_PoisonedToyEvaluator)

@@ -20,6 +20,8 @@ from typing import Dict, List
 
 import pytest
 
+from hypothesis import given, seed, settings, strategies as st
+
 from repro.core import BERThresholdCurve, SearchConfig
 from repro.errors import ConfigurationError
 from repro.serve import (
@@ -32,6 +34,7 @@ from repro.serve import (
     decode_message,
     spec_to_payload,
 )
+from repro.serve.service import ServiceError
 
 
 def canonical(record: Dict[str, float]) -> bytes:
@@ -539,6 +542,129 @@ class TestProtocolAndStatus:
                 handle.service.register_evaluator(
                     "toy", RecordingEvaluator()
                 )
+
+
+def raw_reply(handle: ServeHandle, message: Dict) -> Dict:
+    """The server's reply to one raw protocol message."""
+    with socket.create_connection(handle.address, timeout=30) as s:
+        stream = s.makefile("rwb")
+        stream.write(encode_message({"id": 1, **message}))
+        stream.flush()
+        return decode_message(stream.readline())
+
+
+#: Scalars, containers and non-JSON-number floats a client may send.
+ANY_VALUE = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(min_value=-(10**400), max_value=10**400),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(max_size=4),
+    st.lists(st.integers(-2, 9), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(-2, 9), max_size=2),
+)
+ANY_POINT = st.one_of(
+    ANY_VALUE,
+    st.dictionaries(st.sampled_from(["x", "y", ""]), ANY_VALUE, max_size=2),
+)
+#: Any timeout but a short valid one, which could answer ``timeout``.
+ANY_TIMEOUT = st.one_of(
+    ANY_VALUE.filter(
+        lambda v: not isinstance(v, (int, float)) or not 0 < v < 10
+    ),
+    st.floats(min_value=10.0, max_value=1e6),
+)
+
+
+class TestRequestFields:
+    """A malformed request field answers ``bad_request``, never
+    ``internal``: only configuration errors escape the handler."""
+
+    @pytest.fixture(scope="class")
+    def toy_handle(self, tmp_path_factory):
+        """A service with an atlas, and the payload of a registered toy
+        spec whose whole design space is eight points."""
+        from repro.core import metacore
+        from tests.test_metacore import TOY, _ToySpec
+
+        metacore.register_metacore(TOY)
+        atlas = tmp_path_factory.mktemp("fields") / "atlas.jsonl"
+        try:
+            with started_handle(atlas_path=str(atlas)) as handle:
+                yield handle, spec_to_payload(_ToySpec(3.0))
+        finally:
+            metacore._REGISTRY.pop(TOY.kind, None)
+
+    @pytest.mark.parametrize(
+        "message",
+        [
+            {"op": "eval", "point": {"x": 1}, "fidelity": "abc"},
+            {"op": "eval", "point": {"x": 1}, "fidelity": 0.7},
+            {"op": "eval", "point": {"x": 1}, "fidelity": True},
+            {"op": "eval", "point": [1]},
+            {"op": "eval", "point": {"x": [1]}},
+            {"op": "eval", "point": {"x": 1}, "timeout_s": "x"},
+            {"op": "eval", "point": {"x": 1}, "timeout_s": -1},
+            {"op": "search", "fixed": [1]},
+            {"op": "search", "fixed": {"x": 3.5}},
+            {"op": "search", "fixed": {"x": 10**400}},
+            {"op": "recommend", "constraints": [1]},
+            {"op": "recommend", "constraints": {"cost": "x"}},
+            {"op": "recommend", "constraints": {"cost": True}},
+        ],
+        ids=[
+            "fidelity-str", "fidelity-float", "fidelity-bool",
+            "point-list", "point-list-value", "timeout-str",
+            "timeout-negative", "fixed-list", "fixed-outside-space",
+            "fixed-huge-int", "constraints-list", "constraints-str",
+            "constraints-bool",
+        ],
+    )
+    def test_malformed_field_is_bad_request(self, toy_handle, message):
+        handle, payload = toy_handle
+        reply = raw_reply(handle, {"spec": payload, **message})
+        assert reply["ok"] is False
+        assert reply["error"]["code"] == "bad_request", reply
+
+    def test_malformed_session_name_is_bad_request(self, toy_handle):
+        handle, _payload = toy_handle
+        reply = raw_reply(handle, {"op": "eval", "session": [1]})
+        assert reply["error"]["code"] == "bad_request"
+
+    @seed(20010618)
+    @settings(max_examples=60, deadline=None)
+    @given(
+        op=st.sampled_from(["eval", "search", "recommend"]),
+        fields=st.fixed_dictionaries(
+            {},
+            optional={
+                "point": ANY_POINT,
+                "fidelity": st.one_of(ANY_VALUE, st.integers(-1, 2)),
+                "timeout_s": ANY_TIMEOUT,
+                "fixed": st.one_of(
+                    ANY_VALUE,
+                    st.dictionaries(
+                        st.sampled_from(["x", "y"]), ANY_VALUE, max_size=2
+                    ),
+                ),
+                "constraints": st.one_of(
+                    ANY_VALUE,
+                    st.dictionaries(
+                        st.sampled_from(["cost", "area"]), ANY_VALUE, max_size=2
+                    ),
+                ),
+            },
+        ),
+    )
+    def test_fuzzed_fields_never_answer_internal(self, toy_handle, op, fields):
+        handle, payload = toy_handle
+        message = {"id": 1, "op": op, "spec": payload, **fields}
+        try:
+            handle.submit(handle._server._dispatch(message))
+        except ConfigurationError:
+            pass  # answered bad_request
+        except ServiceError as exc:
+            assert exc.code == "evaluation_failed", exc
 
 
 class TestShutdown:
