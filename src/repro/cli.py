@@ -80,7 +80,6 @@ from repro.resilience import (
 from repro.viterbi import (
     BERSimulator,
     ConvolutionalEncoder,
-    ViterbiMetaCore,
     ViterbiSpec,
     build_decoder,
     describe_point,
@@ -116,18 +115,6 @@ def _tracing(args: argparse.Namespace) -> Iterator[None]:
     finally:
         shutdown_tracing(sink)
         print(f"trace written to {trace_path} ({sink.n_records} records)")
-
-
-def _add_kernel_arg(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--kernel",
-        choices=("fused", "reference"),
-        default="fused",
-        help="decode kernel used by Viterbi cost evaluation: the compiled "
-        "loops (default; the reference loop where no C compiler builds "
-        "them) or the step-by-step reference loop; results are "
-        "bit-identical, only wall-clock differs",
-    )
 
 
 def _add_strategy_arg(parser: argparse.ArgumentParser) -> None:
@@ -320,17 +307,16 @@ def _search_config(args: argparse.Namespace) -> SearchConfig:
     )
 
 
-def _facade(args: argparse.Namespace, spec, facade=MetaCore, **options):
+def _facade(args: argparse.Namespace, spec) -> MetaCore:
     """The facade a command's flags describe, with the definition's
     default pinned parameters."""
-    return facade(
+    return MetaCore(
         spec,
         fixed=dict(definition_for_spec(spec).default_fixed),
         config=_search_config(args),
         workers=args.workers,
         cache_path=args.cache,
         atlas_path=getattr(args, "atlas", None),
-        **options,
     )
 
 
@@ -342,16 +328,8 @@ def _facade_search(args: argparse.Namespace, make_metacore, report=None) -> int:
     prints the winner's lines before the energy line.
     """
     if not args.checkpoint and (args.resume or args.max_rounds is not None):
-        print(
-            "invalid request: --resume and --max-rounds need --checkpoint",
-            file=sys.stderr,
-        )
-        return 2
-    try:
-        metacore = make_metacore(_power_config(args))
-    except ConfigurationError as error:
-        print(f"invalid request: {error}", file=sys.stderr)
-        return 2
+        raise ConfigurationError("--resume and --max-rounds need --checkpoint")
+    metacore = make_metacore(_power_config(args))
     metacore.checkpoint_path = args.checkpoint
     metacore.resume = args.resume
     metacore.max_rounds = args.max_rounds
@@ -400,11 +378,9 @@ def _add_viterbi_point_args(parser: argparse.ArgumentParser) -> None:
 def cmd_viterbi_ber(args: argparse.Namespace) -> int:
     """Measure the BER curve of one decoder instance."""
     point = point_from_args(args)
-    decoder = build_decoder(point, kernel=args.kernel)
+    decoder = build_decoder(point)
     encoder = ConvolutionalEncoder(int(point["K"]))
-    simulator = BERSimulator(
-        encoder, seed=args.seed, adaptive_batching=args.kernel == "fused"
-    )
+    simulator = BERSimulator(encoder, seed=args.seed)
     print(f"instance: {describe_point(point)}")
     for es_n0_db in args.snr:
         measurement = simulator.measure(
@@ -419,7 +395,7 @@ def cmd_viterbi_search(args: argparse.Namespace) -> int:
 
     def metacore(power):
         spec = VITERBI_DEFINITION.spec_from_args(args, power)
-        return _facade(args, spec, ViterbiMetaCore, kernel=args.kernel)
+        return _facade(args, spec)
 
     def report(point, metrics) -> None:
         print(f"winner: {describe_point(point)}")
@@ -519,9 +495,7 @@ def cmd_table3(args: argparse.Namespace) -> int:
             throughput_bps=throughput,
             ber_curve=BERThresholdCurve.single(args.es_n0_db, max_ber),
         )
-        return _facade(
-            args, spec, ViterbiMetaCore, kernel=args.kernel
-        ).search()
+        return _facade(args, spec).search()
 
     sweep = SpecificationSweep(runner=run, feasibility_metric="ber_violation")
     with _tracing(args):
@@ -571,13 +545,9 @@ def cmd_table4(args: argparse.Namespace) -> int:
 
 def cmd_recommend(args: argparse.Namespace) -> int:
     """Answer a constraint query from the design atlas."""
-    try:
-        constraints = _parse_constraints(args.constraint)
-        definition = metacore_definition(args.metacore)
-        spec = definition.spec_from_args(args, _power_config(args))
-    except ConfigurationError as error:
-        print(f"invalid request: {error}", file=sys.stderr)
-        return 2
+    constraints = _parse_constraints(args.constraint)
+    definition = metacore_definition(args.metacore)
+    spec = definition.spec_from_args(args, _power_config(args))
     with _tracing(args):
         recommendation = _facade(args, spec).recommend(constraints or None)
     print(recommendation.summary())
@@ -900,7 +870,6 @@ def build_parser() -> argparse.ArgumentParser:
     ber.add_argument("--bits", type=int, default=100_000)
     ber.add_argument("--errors", type=int, default=100)
     ber.add_argument("--seed", type=int, default=20010618)
-    _add_kernel_arg(ber)
     ber.set_defaults(func=cmd_viterbi_ber)
 
     search = sub.add_parser(
@@ -918,7 +887,6 @@ def build_parser() -> argparse.ArgumentParser:
     search.add_argument("--top-k", type=int, default=3)
     _add_strategy_arg(search)
     _add_power_args(search)
-    _add_kernel_arg(search)
     _add_parallel_args(search)
     _add_checkpoint_args(search)
     _add_atlas_arg(search)
@@ -980,7 +948,6 @@ def build_parser() -> argparse.ArgumentParser:
     table3.add_argument("--max-resolution", type=int, default=2)
     table3.add_argument("--top-k", type=int, default=3)
     _add_strategy_arg(table3)
-    _add_kernel_arg(table3)
     _add_parallel_args(table3)
     _add_trace_arg(table3)
     table3.set_defaults(func=cmd_table3)
@@ -1306,9 +1273,12 @@ EXIT_BROKEN_PIPE = 128 + 13
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code.
 
-    A reader that closes standard output early (``metacores ... | head``)
-    ends the command quietly with :data:`EXIT_BROKEN_PIPE`: commands
-    write their result files before they print.
+    A :class:`ConfigurationError` (flags, specification or search
+    settings the program rejects) prints one ``invalid request:`` line
+    and exits 2.  A reader that closes standard output early
+    (``metacores ... | head``) ends the command quietly with
+    :data:`EXIT_BROKEN_PIPE`: commands write their result files before
+    they print.
     """
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -1316,6 +1286,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         status = args.func(args)
         sys.stdout.flush()
         return status
+    except ConfigurationError as error:
+        print(f"invalid request: {error}", file=sys.stderr)
+        return 2
     except BrokenPipeError:
         # Point stdout at devnull so the interpreter's final flush of
         # the unwritten rest does not raise again on exit.

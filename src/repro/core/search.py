@@ -37,7 +37,7 @@ from repro.core.evaluation import (
 from repro.core.grid import DEFAULT_MAX_GRID_POINTS, GridSample, Region
 from repro.core.objectives import DesignGoal
 from repro.core.parameters import DesignSpace, Point, frozen_point
-from repro.errors import InfeasibleSpecError
+from repro.errors import ConfigurationError, InfeasibleSpecError
 from repro.observability.metrics import get_registry
 from repro.observability.trace import get_tracer
 
@@ -62,13 +62,19 @@ class SearchConfig:
     refine_top_k: int = 3
     #: Use the Bayesian neighbor predictor for probabilistic metrics.
     use_bayesian_ber: bool = True
-    #: Re-evaluate the winner at the evaluator's top fidelity.
-    confirm_best: bool = True
     #: Exploration strategy: "grid" (the paper's multiresolution
     #: funnel) or "evolve" (seeded tournament selection + mutation).
     #: See :mod:`repro.core.strategies` and
     #: ``docs/search-strategies.md``.
     strategy: str = "grid"
+
+    def __post_init__(self) -> None:
+        for name in ("max_resolution", "refine_top_k"):
+            value = getattr(self, name)
+            if value < 0:
+                raise ConfigurationError(
+                    f"{name} must not be negative (got {value})"
+                )
 
 
 @dataclass
@@ -248,9 +254,7 @@ class MetacoreSearch:
             if best_key is not None and metrics is not None:
                 best = EvaluationRecord(
                     point=best_key,
-                    fidelity=self.evaluator.max_fidelity
-                    if self.config.confirm_best
-                    else 0,
+                    fidelity=self.evaluator.max_fidelity,
                     metrics=dict(metrics),
                 )
                 feasible = self.goal.is_feasible(metrics)
@@ -369,9 +373,6 @@ class MetacoreSearch:
                 lambda a, b: self.goal.compare(ranked[a], ranked[b])
             ),
         )
-        if not self.config.confirm_best:
-            key = ranked_keys[0]
-            return key, ranked[key]
         best_key: Optional[Tuple] = None
         best_metrics: Optional[Metrics] = None
         top_k = CONFIRM_TOP_K

@@ -392,8 +392,5 @@ IIR_DEFINITION = register_metacore(
 )
 
 
-@dataclass
 class IIRMetaCore(MetaCore):
     """Facade: specification in, optimized realization out."""
-
-    spec: IIRSpec

@@ -172,19 +172,11 @@ def measure_bands(
     ``grid_points`` controls measurement resolution — the search's
     fidelity knob ("longer run times" = denser grids).
     """
-    if grid_points < 16:
-        raise FilterDesignError("need at least 16 grid points")
-    ripple = 0.0
+    ripple, level = band_levels(tf, passbands, stopbands, grid_points)
     peak = 0.0
     for low, high in passbands:
-        omega = np.linspace(low, high, grid_points)
-        mag = tf.magnitude(omega)
-        ripple = max(ripple, float(np.max(np.abs(mag - 1.0))))
+        mag = tf.magnitude(np.linspace(low, high, grid_points))
         peak = max(peak, float(np.max(mag)))
-    level = 0.0
-    for low, high in stopbands:
-        omega = np.linspace(low, high, grid_points)
-        level = max(level, float(np.max(tf.magnitude(omega))))
     low3, high3 = _three_db_edges(tf, passbands, grid_points)
     return BandMeasurement(
         passband_ripple=ripple,
@@ -203,9 +195,9 @@ def band_levels(
 ) -> Tuple[float, float]:
     """(passband ripple, stopband level), as :func:`measure_bands` has them.
 
-    The part of the measurement a quantization check reads: the same
-    grids and the same operations in the same order, without the peak
-    gain and the 3-dB edges (a 4x-denser grid of ``log10`` work).
+    The part of the measurement a quantization check reads, which
+    :func:`measure_bands` computes through this function: no peak gain
+    and no 3-dB edges (a 4x-denser grid of ``log10`` work).
     """
     if grid_points < 16:
         raise FilterDesignError("need at least 16 grid points")

@@ -283,14 +283,9 @@ class EvaluationService:
         self._running = False
         self._draining = False
         self._started_s = 0.0
-        # Request accounting (mutated on the loop thread only).
+        #: Requests admitted and not yet answered (mutated on the loop
+        #: thread only); the admission window bounds it.
         self.n_pending = 0
-        self.n_requests = 0
-        self.n_rejected = 0
-        self.n_timeouts = 0
-        self.n_batches = 0
-        self.n_searches = 0
-        self.n_recommends = 0
         #: Per-service instruments backing the ``status`` endpoint; the
         #: same updates also land in the process-wide registry so the
         #: telemetry exporter sees them.
@@ -454,7 +449,6 @@ class EvaluationService:
         """
         self._check_accepting()
         if self.n_pending >= self.config.max_pending:
-            self.n_rejected += 1
             for registry in self._registries():
                 registry.counter("serve.rejected").inc()
             raise ServiceOverloadedError(
@@ -475,7 +469,6 @@ class EvaluationService:
             context=session,
         )
         self.n_pending += 1
-        self.n_requests += 1
         for registry in self._registries():
             registry.counter("serve.requests").inc()
             registry.gauge("serve.queue_depth").set(self.n_pending)
@@ -490,7 +483,6 @@ class EvaluationService:
                 return await asyncio.wait_for(future, timeout)
             return await future
         except asyncio.TimeoutError:
-            self.n_timeouts += 1
             for registry in self._registries():
                 registry.counter("serve.timeouts").inc()
             raise RequestTimeoutError(
@@ -508,7 +500,6 @@ class EvaluationService:
         session: EvaluatorSession = requests[0].context
         fidelity = requests[0].fidelity
         points = [request.point for request in requests]
-        self.n_batches += 1
         for registry in self._registries():
             registry.histogram(
                 "serve.batch_size", BATCH_SIZE_BUCKETS
@@ -605,7 +596,6 @@ class EvaluationService:
         """
         self._check_accepting()
         metacore = self._metacore(session, config_fields, fixed)
-        self.n_searches += 1
         for registry in self._registries():
             registry.counter("serve.searches").inc()
         assert self.loop is not None and self._search_executor is not None
@@ -647,7 +637,6 @@ class EvaluationService:
                 "service has no atlas (start it with atlas_path)"
             )
         metacore = self._metacore(session, config_fields, fixed)
-        self.n_recommends += 1
         for registry in self._registries():
             registry.counter("serve.recommends").inc()
         assert self.loop is not None and self._search_executor is not None
@@ -704,12 +693,13 @@ class EvaluationService:
             "max_pending": self.config.max_pending,
             "max_batch": self.config.max_batch,
             "workers": self.config.workers,
-            "requests": self.n_requests,
-            "rejected": self.n_rejected,
-            "timeouts": self.n_timeouts,
-            "batches": self.n_batches,
-            "searches": self.n_searches,
-            "recommends": self.n_recommends,
+            **{
+                field: int(self.metrics.counter(f"serve.{field}").value)
+                for field in (
+                    "requests", "rejected", "timeouts", "batches",
+                    "searches", "recommends",
+                )
+            },
             "batch_size": {
                 "count": batch_hist.count,
                 "mean": batch_hist.mean,

@@ -33,7 +33,6 @@ from repro.viterbi.quantize import (
 )
 from repro.viterbi.diagram import encoder_diagram, trellis_section_diagram
 from repro.viterbi.metrics import BranchMetricTable, shared_metric_table
-from repro.viterbi.kernels import DECODE_KERNELS
 from repro.viterbi.decoder import ViterbiDecoder
 from repro.viterbi.multires import (
     NORMALIZATION_METHODS,
@@ -111,7 +110,6 @@ __all__ = [
     "Quantizer",
     "make_quantizer",
     "BranchMetricTable",
-    "DECODE_KERNELS",
     "ViterbiDecoder",
     "MultiresolutionViterbiDecoder",
     "NORMALIZATION_METHODS",

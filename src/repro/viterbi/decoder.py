@@ -22,7 +22,6 @@ import numpy as np
 
 from repro.errors import ConfigurationError
 from repro.viterbi import kernels
-from repro.viterbi.kernels import DECODE_KERNELS
 from repro.viterbi.metrics import shared_metric_table
 from repro.viterbi.quantize import Quantizer
 from repro.viterbi.trellis import Trellis
@@ -44,13 +43,10 @@ class ViterbiDecoder:
         ``L`` — the number of trellis steps followed back from the best
         state before a bit is emitted.  The paper searches multiples of
         ``K`` and observes depths beyond ``7K`` stop improving BER.
-    kernel:
-        ``"fused"`` (default) runs the compiled loops of
-        :mod:`repro.viterbi.kernels` whenever :meth:`active_kernel`
-        allows; ``"reference"`` always runs the step-by-step loop.  Both
-        produce bit-identical outputs — the switch exists for A/B
-        debugging and benchmarking, and deliberately does not appear in
-        :meth:`describe` (same decoder, same results, same seeds).
+
+    Decodes run the compiled loops of :mod:`repro.viterbi.kernels` or
+    the step-by-step reference loops, as :meth:`active_kernel` decides
+    from the host and the decoder's state; both give the same bits.
     """
 
     def __init__(
@@ -58,18 +54,12 @@ class ViterbiDecoder:
         trellis: Trellis,
         quantizer: Quantizer,
         traceback_depth: int,
-        kernel: str = "fused",
     ) -> None:
         if traceback_depth < 1:
             raise ConfigurationError("traceback depth must be at least 1")
-        if kernel not in DECODE_KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {DECODE_KERNELS}"
-            )
         self.trellis = trellis
         self.quantizer = quantizer
         self.traceback_depth = int(traceback_depth)
-        self.kernel = kernel
         self.metric_table = shared_metric_table(trellis, quantizer)
         #: Optional fault-injection hook (see :mod:`repro.resilience`).
         #: When set, the decoder routes its branch-metric, path-metric,
@@ -94,18 +84,17 @@ class ViterbiDecoder:
         """The loops the next decode runs: ``"fused"`` or ``"reference"``.
 
         ``"fused"`` means the compiled ``acs.c`` loops of
-        :mod:`repro.viterbi.kernels`.  A fused decoder runs the
-        reference loops instead when an active fault hook is attached,
-        when the metric tables are too large to precompute, or when the
-        library does not load (no ``cc``; the first call builds or loads
-        it).  The forward pass, the trace-back and the BER simulator's
-        kernel label all follow this one answer, so a decode runs
-        entirely compiled or entirely on the reference loops.
+        :mod:`repro.viterbi.kernels`.  The decoder runs the reference
+        loops instead when an active fault hook is attached, when the
+        metric tables are too large to precompute, or when the library
+        does not load (no ``cc``; the first call builds or loads it).
+        The forward pass, the trace-back and the BER simulator's kernel
+        label all follow this one answer, so a decode runs entirely
+        compiled or entirely on the reference loops.
         """
         hook = self.fault_hook
         if (
-            self.kernel == "fused"
-            and (hook is None or not getattr(hook, "active", True))
+            (hook is None or not getattr(hook, "active", True))
             and self._fused_available()
             and kernels.native_library() is not None
         ):

@@ -27,12 +27,12 @@ in C (``acs.c``) instead, without changing a single output bit:
   ``c1 < c0``: ties select slot 0 in both formulations, keeping the
   survivor memory bit-identical.
 - **Loading.**  :func:`native_library` compiles ``acs.c`` with the
-  system C compiler on the first fused decode, caches the shared
+  system C compiler on the first decode, caches the shared
   library by source, flags and platform hash under
   ``$XDG_CACHE_HOME/repro`` (default ``~/.cache/repro``) and loads it
   with :mod:`ctypes`, which releases the interpreter lock for each
   call.  With no ``cc``, a failed build, an unwritable cache or any
-  other load failure it returns ``None``, and fused decoders run the
+  other load failure it returns ``None``, and decoders run the
   reference loops, which give the same bits (several times slower).
 - **Numpy's selection.**  The multiresolution forward pass ranks its
   M-set and N best with numpy's own ``argpartition``/``argsort``, whose
@@ -67,9 +67,6 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-#: Kernel names accepted by the decoders, the evaluator, and the CLI.
-DECODE_KERNELS: Tuple[str, ...] = ("fused", "reference")
-
 #: Compiler flags for ``acs.c``.  No ``-ffast-math`` (it may reorder
 #: floating-point operations) and no ``-march=native`` (a cache
 #: directory may be shared across hosts); ``-ffp-contract=off`` keeps
@@ -80,8 +77,8 @@ NATIVE_CFLAGS: Tuple[str, ...] = (
 
 _log = logging.getLogger(__name__)
 
-#: Memo of :func:`native_library`: ``_UNLOADED`` until a fused decoder
-#: first asks for it, then the loaded library or ``None`` (reference).
+#: Memo of :func:`native_library`: ``_UNLOADED`` until a decoder first
+#: asks for it, then the loaded library or ``None`` (reference).
 #: Module state only, never a decoder attribute: decoders and evaluators
 #: are pickled to pool workers, and a ``ctypes`` handle does not pickle.
 _UNLOADED = object()

@@ -42,7 +42,6 @@ from repro.power import PowerConfig, PowerModel
 from repro.viterbi.ber import BERSimulator, DEFAULT_SEED
 from repro.viterbi.bounds import estimate_ber
 from repro.viterbi.decoder import ViterbiDecoder
-from repro.viterbi.kernels import DECODE_KERNELS
 from repro.viterbi.encoder import ConvolutionalEncoder
 from repro.viterbi.multires import MultiresolutionViterbiDecoder
 from repro.viterbi.polynomials import default_polynomials
@@ -187,13 +186,8 @@ def instance_params(point: Point) -> ViterbiInstanceParams:
     )
 
 
-def build_decoder(point: Point, kernel: str = "fused") -> ViterbiDecoder:
-    """Construct the concrete decoder a design point describes.
-
-    ``kernel`` selects the forward-pass implementation (``"fused"`` or
-    ``"reference"``); the two are bit-identical, so the choice never
-    changes results, only wall-clock.
-    """
+def build_decoder(point: Point) -> ViterbiDecoder:
+    """Construct the concrete decoder a design point describes."""
     point = normalize_viterbi_point(point)
     k = int(point["K"])
     trellis = trellis_for(k, polynomials_for_point(point))
@@ -210,10 +204,9 @@ def build_decoder(point: Point, kernel: str = "fused") -> ViterbiDecoder:
             depth,
             multires_paths=int(point["M"]),
             normalization_count=int(point["N"]),
-            kernel=kernel,
         )
     quantizer = HardQuantizer() if r1 == 1 else make_quantizer(method, r1)
-    return ViterbiDecoder(trellis, quantizer, depth, kernel=kernel)
+    return ViterbiDecoder(trellis, quantizer, depth)
 
 
 def describe_point(point: Point) -> str:
@@ -290,23 +283,10 @@ class ViterbiMetacoreEvaluator:
     paper's "more accurate simulation results (longer run times)" on
     finer grids).  Area/throughput always go through the machine model,
     which is cheap and deterministic.
-
-    ``kernel`` selects the decode implementation: ``"fused"`` (default)
-    builds fused-kernel decoders and lets the simulators group frame
-    batches adaptively; ``"reference"`` reproduces the pre-kernel
-    behavior exactly (step-by-step loop, batch-at-a-time simulation).
-    Metrics are bit-identical either way, which is why the kernel does
-    **not** appear in :meth:`fingerprint` — cached evaluations remain
-    valid across the switch.
     """
 
-    def __init__(self, spec: ViterbiSpec, kernel: str = "fused") -> None:
-        if kernel not in DECODE_KERNELS:
-            raise ConfigurationError(
-                f"kernel must be one of {DECODE_KERNELS}"
-            )
+    def __init__(self, spec: ViterbiSpec) -> None:
         self.spec = spec
-        self.kernel = kernel
         self.max_fidelity = len(FIDELITY_BUDGETS) - 1
         self._simulators: Dict[Tuple[int, Tuple[int, ...]], BERSimulator] = {}
         self._power_model: Optional[PowerModel] = (
@@ -365,7 +345,6 @@ class ViterbiMetacoreEvaluator:
             self._simulators[key] = BERSimulator(
                 ConvolutionalEncoder(k, polys),
                 seed=self.spec.seed,
-                adaptive_batching=self.kernel == "fused",
             )
         return self._simulators[key]
 
@@ -397,7 +376,7 @@ class ViterbiMetacoreEvaluator:
                 errors = bits = None
             else:
                 if decoder is None:
-                    decoder = build_decoder(point, kernel=self.kernel)
+                    decoder = build_decoder(point)
                 max_bits, target_errors = FIDELITY_BUDGETS[fidelity]
                 if fidelity == self.max_fidelity:
                     # Resolve the threshold: enough bits to expect a
@@ -609,18 +588,5 @@ VITERBI_DEFINITION = register_metacore(
 )
 
 
-@dataclass
 class ViterbiMetaCore(MetaCore):
     """Facade: specification in, optimized decoder instance out."""
-
-    spec: ViterbiSpec
-    #: Decode kernel for cost evaluation ("fused" or "reference");
-    #: results are bit-identical, only wall-clock differs.
-    kernel: str = "fused"
-
-    def _engine(self) -> ViterbiMetacoreEvaluator:
-        return ViterbiMetacoreEvaluator(self.spec, kernel=self.kernel)
-
-    def build(self, point: Point) -> ViterbiDecoder:
-        """Construct the concrete decoder for a design point."""
-        return build_decoder(point, kernel=self.kernel)

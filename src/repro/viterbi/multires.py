@@ -60,9 +60,6 @@ class MultiresolutionViterbiDecoder(ViterbiDecoder):
         correction), ``"offset"`` (the difference-of-best correction
         alone), or ``"none"`` (ablation; demonstrably catastrophic,
         which is why the paper insists on the correction term).
-    kernel:
-        ``"fused"`` or ``"reference"``, as in :class:`ViterbiDecoder`;
-        both produce bit-identical outputs.
     """
 
     def __init__(
@@ -74,9 +71,8 @@ class MultiresolutionViterbiDecoder(ViterbiDecoder):
         multires_paths: int,
         normalization_count: int = 1,
         normalization_method: str = "scale-offset",
-        kernel: str = "fused",
     ) -> None:
-        super().__init__(trellis, low_quantizer, traceback_depth, kernel=kernel)
+        super().__init__(trellis, low_quantizer, traceback_depth)
         if high_quantizer.bits <= low_quantizer.bits:
             raise ConfigurationError(
                 "high-resolution quantizer must use more bits than the "

@@ -116,35 +116,42 @@ class TestCommands:
         assert args4.trace is None
 
 
-class TestKernelAB:
-    """``--kernel fused`` and ``--kernel reference`` print the same curve."""
+class TestNegativeSearchSettings:
+    """A negative ``--top-k`` or ``--max-resolution`` is rejected before
+    any search work: exit 2, one line on stderr, no traceback."""
 
-    @pytest.mark.parametrize(
-        "point",
-        [
-            ["--k", "5", "--q", "adaptive", "--r1", "2", "--snr", "2.0"],
-            [
-                "--k", "5", "--q", "adaptive", "--r1", "2", "--m", "4",
-                "--r2", "3", "--snr", "1.0", "2.0",
-            ],
+    COMMANDS = {
+        "iir-search": ["iir-search", "--period-us", "4.0"],
+        "viterbi-search": [
+            "viterbi-search", "--ber", "1e-2", "--throughput", "1e6",
         ],
-        ids=["classic", "multires"],
-    )
-    def test_viterbi_ber_identical_across_kernels(self, point, capsys):
-        outputs = []
-        for kernel in ("fused", "reference"):
-            code = main(
-                ["viterbi-ber", *point, "--bits", "20000", "--kernel", kernel]
-            )
-            assert code == 0
-            outputs.append(capsys.readouterr().out)
-        assert "BER=" in outputs[0]
-        assert outputs[0] == outputs[1]
+        "table3": ["table3"],
+        "table4": ["table4"],
+        "recommend": ["recommend", "--metacore", "iir", "--period-us", "4.0"],
+        "sweep": ["sweep", "--metacore", "iir", "--periods", "4.0"],
+    }
+
+    @pytest.mark.parametrize("flag", ["--top-k", "--max-resolution"])
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_rejected_in_one_line(self, command, flag, capsys, tmp_path):
+        argv = [*self.COMMANDS[command], flag, "-1"]
+        if command in ("recommend", "sweep"):
+            argv += ["--atlas", str(tmp_path / "atlas.jsonl")]
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert "must not be negative (got -1)" in line
+
+
+class TestKernelAB:
+    """The compiled loops against the reference loops, end to end."""
 
     def test_bench_kernels_quick(self):
         """``bench_kernels.py --quick``: a classic and a multiresolution
-        cold evaluation give bit-identical metrics on both kernels, and
-        fused is not slower (the script exits non-zero otherwise).
+        cold evaluation give bit-identical metrics with the compiled
+        library loaded and unloaded, and the compiled loops are not
+        slower (the script exits non-zero otherwise).
         Without compiled loops there is no A/B: it says so and passes."""
         from repro.viterbi.kernels import native_library
 

@@ -244,11 +244,11 @@ class TestClusterDifferential:
             # the survivor must produce the identical answer.
             deadline = time.time() + 30.0
             while (
-                owner_handle.service.n_searches == 0
+                owner_handle.service.status()["searches"] == 0
                 and time.time() < deadline
             ):
                 time.sleep(0.002)
-            assert owner_handle.service.n_searches > 0
+            assert owner_handle.service.status()["searches"] > 0
             owner_handle.stop()
             searcher.join(timeout=120.0)
             assert not searcher.is_alive()

@@ -5,9 +5,12 @@ The compiled kernels in :mod:`repro.viterbi.kernels` promise
 decisions, same survivor selections, same decoded bits, same final
 metrics.  These tests enforce that promise over randomized
 configurations (hypothesis), through the BER simulator's adaptive frame
-batching, and up through a whole search.  The differential cases run
-on the compiled ``acs.c`` loops; on a host where the library does not
-load, fused decoders take the reference loops
+batching, and up through a whole search.  Each differential decodes the
+same input twice: once as the host runs it (the compiled ``acs.c``
+loops) and once with the library memo set to ``None``, which is how a
+host without ``cc`` runs (:func:`_reference_loops`); the ``_forward``
+comparisons call ``_forward_reference`` directly.  On a host where the
+library does not load, both sides take the reference loops
 (:class:`TestNativeLoader` pins that fallback), and
 ``test_compiler_on_path_means_native_loop`` fails a host with ``cc``
 that gets there.
@@ -15,6 +18,7 @@ that gets there.
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import os
 import pickle
@@ -43,7 +47,6 @@ from repro.viterbi import (
     BERSimulator,
     BranchMetricTable,
     ConvolutionalEncoder,
-    DECODE_KERNELS,
     FixedQuantizer,
     HardQuantizer,
     MultiresolutionViterbiDecoder,
@@ -66,9 +69,28 @@ NATIVE_SYMBOLS = (
 
 
 def _fused_kernel() -> str:
-    """The loops a hook-free fused decoder runs on this host:
-    ``"fused"`` (compiled) when ``acs.c`` loads, else ``"reference"``."""
+    """The loops a hook-free decoder runs on this host: ``"fused"``
+    (compiled) when ``acs.c`` loads, else ``"reference"``."""
     return "fused" if kernels.native_library() is not None else "reference"
+
+
+@contextlib.contextmanager
+def _reference_loops():
+    """Decode on the reference loops inside the block, as a host whose
+    library does not load: the memo answers ``None``, then is restored."""
+    saved = kernels._native
+    kernels._native = None
+    try:
+        yield
+    finally:
+        kernels._native = saved
+
+
+#: Both loop sets: the host's own choice, and the reference loops.
+BOTH_LOOPS = pytest.mark.parametrize(
+    "loops", [contextlib.nullcontext, _reference_loops],
+    ids=["fused", "reference"],
+)
 
 
 def _received(rng, n_frames, n_steps, n_symbols, erasure_rate=0.0):
@@ -81,16 +103,17 @@ def _received(rng, n_frames, n_steps, n_symbols, erasure_rate=0.0):
 
 
 def _pair(decoder_cls, *args, **kwargs):
-    """The same decoder twice: fused kernel and reference kernel."""
-    fused = decoder_cls(*args, kernel="fused", **kwargs)
-    reference = decoder_cls(*args, kernel="reference", **kwargs)
-    return fused, reference
+    """The same decoder twice: one to decode on the host's loops, one to
+    decode on the reference loops."""
+    return decoder_cls(*args, **kwargs), decoder_cls(*args, **kwargs)
 
 
 def _assert_identical_decode(fused, reference, received, sigma):
     decoded_fused = fused.decode(received, sigma=sigma)
     metrics_fused = fused._final_metrics.copy()
-    decoded_ref = reference.decode(received, sigma=sigma)
+    with _reference_loops():
+        assert reference.active_kernel() == "reference"
+        decoded_ref = reference.decode(received, sigma=sigma)
     assert np.array_equal(decoded_fused, decoded_ref)
     assert np.array_equal(metrics_fused, reference._final_metrics)
 
@@ -195,7 +218,7 @@ class TestFusedSingleResolution:
         received = _received(rng, 6, 96, trellis.n_symbols, erasure_rate=0.15)
 
         dec_f, best_f = fused._forward(received, 0.8)
-        dec_r, best_r = reference._forward(received, 0.8)
+        dec_r, best_r = reference._forward_reference(received, 0.8)
         assert np.array_equal(dec_f, dec_r)
         assert np.array_equal(best_f, best_r)
         assert (
@@ -233,7 +256,7 @@ class TestFusedSingleResolution:
         received = np.zeros((1, 24, trellis_k3.n_symbols))
 
         dec_f, best_f = fused._forward(received, None)
-        dec_r, best_r = reference._forward(received, None)
+        dec_r, best_r = reference._forward_reference(received, None)
         assert np.array_equal(dec_f, dec_r)
         assert np.array_equal(best_f, best_r)
 
@@ -341,7 +364,7 @@ class TestFusedMultiresolutionShapes:
         )
 
         dec_f, best_f = fused._forward(received, 0.8)
-        dec_r, best_r = reference._forward(received, 0.8)
+        dec_r, best_r = reference._forward_reference(received, 0.8)
         assert np.array_equal(dec_f, dec_r)
         assert np.array_equal(best_f, best_r)
         assert np.array_equal(
@@ -438,35 +461,31 @@ class TestEmptyBatches:
             trellis_k3, HardQuantizer(), AdaptiveQuantizer(3), 9, 4
         )
 
-    @pytest.mark.parametrize("kernel", DECODE_KERNELS)
+    @BOTH_LOOPS
     def test_zero_frames_decode_to_empty(
-        self, decoder_cls_args, kernel
+        self, decoder_cls_args, loops
     ):
         decoder_cls, args = decoder_cls_args
-        decoder = decoder_cls(*args, kernel=kernel)
+        decoder = decoder_cls(*args)
 
-        bits = decoder.decode(np.zeros((0, 12, 2)), sigma=0.5)
+        with loops():
+            bits = decoder.decode(np.zeros((0, 12, 2)), sigma=0.5)
         assert bits.shape == (0, 12)
         assert bits.dtype == np.int8
 
-    @pytest.mark.parametrize("kernel", DECODE_KERNELS)
+    @BOTH_LOOPS
     @pytest.mark.parametrize("shape", [(3, 0, 2), (0, 2)])
     def test_zero_steps_rejected(
-        self, decoder_cls_args, kernel, shape
+        self, decoder_cls_args, loops, shape
     ):
         decoder_cls, args = decoder_cls_args
-        decoder = decoder_cls(*args, kernel=kernel)
+        decoder = decoder_cls(*args)
 
-        with pytest.raises(ConfigurationError):
+        with loops(), pytest.raises(ConfigurationError):
             decoder.decode(np.zeros(shape), sigma=0.5)
 
 
 class TestKernelDispatch:
-    def test_rejects_unknown_kernel(self, trellis_k3):
-        with pytest.raises(ConfigurationError):
-            ViterbiDecoder(trellis_k3, HardQuantizer(), 10, kernel="turbo")
-        assert "fused" in DECODE_KERNELS and "reference" in DECODE_KERNELS
-
     def test_active_hook_forces_reference_loop(self, trellis_k3, monkeypatch):
         decoder = ViterbiDecoder(trellis_k3, HardQuantizer(), 10)
         decoder.fault_hook = FaultInjector(
@@ -502,17 +521,20 @@ class TestKernelDispatch:
         assert len(calls) == (1 if _fused_kernel() == "fused" else 0)
 
     def test_reference_kernel_never_fuses(self, trellis_k3, monkeypatch):
-        decoder = ViterbiDecoder(
-            trellis_k3, HardQuantizer(), 10, kernel="reference"
-        )
-        assert decoder.active_kernel() == "reference"
+        """Without the library a decoder runs the reference loops only."""
+        decoder = ViterbiDecoder(trellis_k3, HardQuantizer(), 10)
 
-        def boom(received, sigma):  # pragma: no cover - must not run
-            raise AssertionError("fused kernel ran with kernel='reference'")
+        def boom(*args):  # pragma: no cover - must not run
+            raise AssertionError("compiled loops ran without the library")
 
         monkeypatch.setattr(decoder, "_forward_fused", boom)
+        monkeypatch.setattr(kernels, "fused_traceback", boom)
         rng = np.random.default_rng(7)
-        decoder.decode(_received(rng, 1, 24, trellis_k3.n_symbols), sigma=0.5)
+        with _reference_loops():
+            assert decoder.active_kernel() == "reference"
+            decoder.decode(
+                _received(rng, 1, 24, trellis_k3.n_symbols), sigma=0.5
+            )
 
 
 class TestAdaptiveBatching:
@@ -570,12 +592,11 @@ class TestAdaptiveBatching:
     def test_reference_kernel_decoder_under_adaptive_sim(
         self, encoder_k3, trellis_k3
     ):
-        decoder = ViterbiDecoder(
-            trellis_k3, AdaptiveQuantizer(2), 15, kernel="reference"
-        )
-        self._measure_pair(
-            encoder_k3, decoder, 2.0, max_bits=16_000, target_errors=40
-        )
+        decoder = ViterbiDecoder(trellis_k3, AdaptiveQuantizer(2), 15)
+        with _reference_loops():
+            self._measure_pair(
+                encoder_k3, decoder, 2.0, max_bits=16_000, target_errors=40
+            )
 
     def test_active_hook_disables_adaptive_grouping(
         self, encoder_k3, trellis_k3
@@ -644,34 +665,25 @@ class TestAdaptiveBatching:
 
 class TestSearchParity:
     def test_search_results_identical_across_kernels(self):
+        """A cold search with the library loaded equals the same search
+        with it unloaded, as a host without ``cc`` runs it."""
         spec = ViterbiSpec(
             throughput_bps=1e6,
             ber_curve=BERThresholdCurve.single(4.0, 2e-2),
         )
         config = SearchConfig(max_resolution=1, refine_top_k=2)
 
-        def search(kernel):
+        def search():
             return ViterbiMetaCore(
-                spec, fixed={"G": "standard", "N": 1},
-                config=config, kernel=kernel,
+                spec, fixed={"G": "standard", "N": 1}, config=config,
             ).search()
 
-        reference = search("reference")
-        fused = search("fused")
+        with _reference_loops():
+            reference = search()
+        fused = search()
         assert fused.feasible == reference.feasible
         assert fused.best_point == reference.best_point
         assert fused.best_metrics == reference.best_metrics
-
-    def test_kernel_not_in_fingerprint(self):
-        from repro.viterbi import ViterbiMetacoreEvaluator
-
-        spec = ViterbiSpec(
-            throughput_bps=1e6,
-            ber_curve=BERThresholdCurve.single(3.0, 1e-3),
-        )
-        fused = ViterbiMetacoreEvaluator(spec, kernel="fused")
-        reference = ViterbiMetacoreEvaluator(spec, kernel="reference")
-        assert fused.fingerprint() == reference.fingerprint()
 
 
 def _decode_case():
@@ -723,8 +735,8 @@ class TestNativeLoader:
         return tmp_path / "cache" / "repro"
 
     def _assert_reference_fallback(self):
-        """Hook-free fused decoders of both kinds take the reference
-        loops, bit-identically."""
+        """Hook-free decoders of both kinds take the reference loops,
+        bit-identically."""
         assert kernels.native_library() is None
         for fused, reference, received in (
             _decode_case(), _multires_decode_case()
@@ -837,7 +849,7 @@ class TestNativeLoader:
         assert kernels.native_library() is not None
         fused, reference, received = _decode_case()
         dec_f, best_f = fused._forward(received, 0.8)
-        dec_r, best_r = reference._forward(received, 0.8)
+        dec_r, best_r = reference._forward_reference(received, 0.8)
         assert np.array_equal(dec_f, dec_r)
         assert np.array_equal(best_f, best_r)
         assert (
@@ -875,11 +887,10 @@ class TestNativeLoader:
         assert outputs[0][0] == "True"
         # The reference loops decode the same bits in this process.
         trellis = Trellis.from_encoder(ConvolutionalEncoder(5))
-        decoder = ViterbiDecoder(
-            trellis, AdaptiveQuantizer(3), 25, kernel="reference"
-        )
+        decoder = ViterbiDecoder(trellis, AdaptiveQuantizer(3), 25)
         received = np.random.default_rng(5).normal(0.0, 1.0, (8, 120, 2))
-        bits = decoder.decode(received, sigma=0.8)
+        with _reference_loops():
+            bits = decoder.decode(received, sigma=0.8)
         assert outputs[0][1] == hashlib.sha256(bits.tobytes()).hexdigest()
         built = sorted(p.name for p in (tmp_path / "repro").iterdir())
         assert len(built) == 1 and built[0].endswith(".so"), built
@@ -906,7 +917,6 @@ class TestNativeLoader:
         fused, reference, received = _decode_case()
         fused.decode(received, sigma=0.8)
         clone = pickle.loads(pickle.dumps(fused))
-        assert np.array_equal(
-            clone.decode(received, sigma=0.8),
-            reference.decode(received, sigma=0.8),
-        )
+        with _reference_loops():
+            expected = reference.decode(received, sigma=0.8)
+        assert np.array_equal(clone.decode(received, sigma=0.8), expected)

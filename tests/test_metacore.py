@@ -143,10 +143,7 @@ class TestBindings:
         }
 
     def test_viterbi_fields(self):
-        assert self._defaults(ViterbiMetaCore) == {
-            **self.COMMON,
-            "kernel": "fused",
-        }
+        assert self._defaults(ViterbiMetaCore) == self.COMMON
 
     def test_iir_fields(self):
         assert self._defaults(IIRMetaCore) == self.COMMON

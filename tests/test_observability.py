@@ -328,7 +328,7 @@ class TestCachingEvaluatorAccounting:
             space,
             goal,
             FunctionEvaluator(price, max_fidelity=1),
-            config=SearchConfig(max_resolution=1, confirm_best=True),
+            config=SearchConfig(max_resolution=1),
         )
         result = search.run()
         assert result.cache_misses == search.evaluator.cache_misses

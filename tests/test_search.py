@@ -21,7 +21,11 @@ from repro.core import (
     SearchConfig,
     SimulatedAnnealing,
 )
-from repro.errors import DesignSpaceError, InfeasibleSpecError
+from repro.errors import (
+    ConfigurationError,
+    DesignSpaceError,
+    InfeasibleSpecError,
+)
 
 
 def _space() -> DesignSpace:
@@ -49,6 +53,14 @@ def _goal() -> DesignGoal:
 
 
 class TestMetacoreSearch:
+    @pytest.mark.parametrize("field", ["max_resolution", "refine_top_k"])
+    def test_config_rejects_negative_settings(self, field):
+        """A negative top-k would slice ``ranked[:-1]`` and refine every
+        candidate but the worst; a negative depth means nothing."""
+        with pytest.raises(ConfigurationError, match=field):
+            SearchConfig(**{field: -1})
+        assert getattr(SearchConfig(**{field: 0}), field) == 0
+
     def test_finds_optimum_of_smooth_bowl(self):
         search = MetacoreSearch(
             _space(), _goal(), _bowl_evaluator(),

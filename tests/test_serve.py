@@ -457,11 +457,15 @@ class TestProtocolAndStatus:
             [["max_resolution", 0]],
             {"max_resolution": "x"},
             {"refine_top_k": 1.5},
-            {"confirm_best": "yes"},
+            {"use_bayesian_ber": "yes"},
+            {"refine_top_k": -1},
+            {"max_resolution": -1},
+            {"confirm_best": True},
         ],
         ids=[
             "unknown-field", "unknown-strategy", "not-an-object",
             "str-for-int", "float-for-int", "str-for-bool",
+            "negative-top-k", "negative-resolution", "removed-field",
         ],
     )
     @pytest.mark.parametrize("op", ["search", "recommend"])
@@ -491,7 +495,7 @@ class TestProtocolAndStatus:
 
     @pytest.mark.parametrize(
         "config",
-        [{"max_resolution": True}, {"confirm_best": 1}, {"strategy": 0}],
+        [{"max_resolution": True}, {"use_bayesian_ber": 1}, {"strategy": 0}],
         ids=["bool-for-int", "int-for-bool", "int-for-str"],
     )
     def test_search_config_types_are_exact(self, config):
@@ -504,10 +508,14 @@ class TestProtocolAndStatus:
         from repro.serve.protocol import search_config_from_payload
 
         config = search_config_from_payload(
-            {"max_resolution": 1, "confirm_best": False, "strategy": "evolve"}
+            {
+                "max_resolution": 1,
+                "use_bayesian_ber": False,
+                "strategy": "evolve",
+            }
         )
         assert config == SearchConfig(
-            max_resolution=1, confirm_best=False, strategy="evolve"
+            max_resolution=1, use_bayesian_ber=False, strategy="evolve"
         )
 
     def test_unknown_op_and_garbage_line(self):
