@@ -793,9 +793,6 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     config = RouterConfig(
         vnodes=args.vnodes,
-        hedge_after_s=(
-            args.hedge_ms / 1000.0 if args.hedge_ms > 0 else None
-        ),
         max_attempts=args.max_attempts,
         probe_interval_s=args.probe_interval_ms / 1000.0,
         eject_after=args.eject_after,
@@ -1153,11 +1150,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--replica", action="append", metavar="HOST:PORT|unix:PATH",
         default=None,
         help="replica address (repeatable; alternative to --topology)",
-    )
-    cluster.add_argument(
-        "--hedge-ms", type=float, default=500.0,
-        help="duplicate a straggling eval to the next replica "
-        "after this long (0 disables hedging)",
     )
     cluster.add_argument(
         "--max-attempts", type=int, default=3,

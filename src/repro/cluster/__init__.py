@@ -12,13 +12,13 @@ cluster as a whole serves many specs concurrently.  See
 - :mod:`repro.cluster.topology` — replica set description: strict
   JSON topology files and ``--replica`` flag parsing;
 - :mod:`repro.cluster.ring` — md5 consistent-hash ring with virtual
-  nodes; preference lists drive failover and hedging order;
+  nodes; preference lists drive failover order;
 - :mod:`repro.cluster.connection` — pipelined async client connection
   to one replica with id remapping and fail-fast on disconnect;
 - :mod:`repro.cluster.health` — replica health state machine
   (healthy/degraded/ejected, rejoin on recovery) + the probe loop;
 - :mod:`repro.cluster.router` — the router itself: key routing,
-  request hedging, bounded failover retry, cluster status/drain;
+  bounded failover retry, cluster status/drain;
 - :mod:`repro.cluster.handle` — blocking-world handles, including the
   whole-cluster-in-one-process ``ClusterHandle`` behind the facades'
   ``serve(replicas=N)``.

@@ -42,6 +42,10 @@ STATE_HEALTHY = "healthy"
 STATE_DEGRADED = "degraded"
 STATE_EJECTED = "ejected"
 
+#: Seconds a ``status`` probe (or a router-side status/drain fan-out
+#: request) may take before the replica counts as unresponsive.
+PROBE_TIMEOUT_S = 5.0
+
 
 class RouterReplica:
     """A topology replica plus its connection, health, and counters."""
@@ -58,7 +62,6 @@ class RouterReplica:
         self.consecutive_failures = 0
         self.n_requests = 0
         self.n_failures = 0
-        self.n_hedges = 0
         self.n_probes = 0
         self.n_probe_failures = 0
         self.last_status: Optional[Dict[str, Any]] = None
@@ -95,7 +98,6 @@ class RouterReplica:
             "consecutive_failures": self.consecutive_failures,
             "requests": self.n_requests,
             "failures": self.n_failures,
-            "hedges": self.n_hedges,
             "probes": self.n_probes,
             "probe_failures": self.n_probe_failures,
         }
@@ -108,12 +110,10 @@ class HealthMonitor:
         self,
         replicas: List[RouterReplica],
         probe_interval_s: float = 1.0,
-        probe_timeout_s: float = 5.0,
         eject_after: int = 3,
     ) -> None:
         self.replicas = replicas
         self.probe_interval_s = probe_interval_s
-        self.probe_timeout_s = probe_timeout_s
         self.eject_after = max(1, int(eject_after))
         self._task: Optional["asyncio.Task[None]"] = None
 
@@ -145,7 +145,7 @@ class HealthMonitor:
         try:
             response = await asyncio.wait_for(
                 replica.connection.request("status"),
-                timeout=self.probe_timeout_s,
+                timeout=PROBE_TIMEOUT_S,
             )
         except (ReplicaUnavailableError, asyncio.TimeoutError):
             replica.n_probe_failures += 1

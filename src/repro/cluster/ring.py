@@ -11,8 +11,8 @@ key's own hash.
 
 :meth:`HashRing.preference` returns the *whole* preference list — every
 replica, deduplicated, in ring order from the key's position.  The
-router walks that list for failover and takes entry #2 as the hedging
-target, so a key's backup replicas are as stable as its primary.
+router walks that list for failover, so a key's backup replicas are as
+stable as its primary.
 
 md5 is used as a spreading function only (no security meaning) and is
 stable across processes and Python versions, unlike ``hash()`` — the
@@ -65,8 +65,8 @@ class HashRing:
     def preference(self, key: str) -> List[str]:
         """All replicas in ring order from the key's position.
 
-        Entry 0 is the primary, entry 1 the first failover / hedging
-        target, and so on; every replica appears exactly once.
+        Entry 0 is the primary, entry 1 the first failover target, and
+        so on; every replica appears exactly once.
         """
         start = bisect.bisect_left(self._points, _hash(key))
         seen = set()

@@ -19,16 +19,11 @@ Reliability mechanics on the request path:
   capped exponential backoff between attempts, up to
   ``max_attempts`` tries.  Any other error is the request's own
   answer (e.g. ``bad_request``) and is forwarded verbatim.
-- **Hedging** — if the first replica has not answered an ``eval``
-  within ``hedge_after_s``, the request is duplicated to the next
-  replica on the preference list; the first usable answer wins and the
-  loser is cancelled (its late response is discarded by the connection
-  layer).  Every routed operation is deterministic, so a duplicate
-  cannot change any result — only the tail latency.  A ``search`` is
-  not hedged (:data:`HEDGED_OPS`): it is long CPU work that the losing
-  replica keeps running after the router cancels its copy, so a hedge
-  only steals CPU; nor is a ``recommend``, which can fall back to such
-  a search on an atlas miss.
+- **One replica per attempt** — each routing attempt is a single
+  request to a single replica, so each routed request is priced once.
+  An evaluation is a deterministic function of (spec, point,
+  fidelity): a duplicate sent to a second replica could not change the
+  answer, only pay for it twice.
 - **Health** — a :class:`~repro.cluster.health.HealthMonitor` probes
   every replica's ``status``; ejected replicas are skipped by routing
   until a probe readmits them.  The hash ring itself never changes,
@@ -36,7 +31,7 @@ Reliability mechanics on the request path:
 
 Determinism note: replicas share nothing and derive all stochastic
 streams from (seed, point, fidelity), so a search answered through the
-router — under failover, hedging, or both — is byte-identical to the
+router — with or without failover — is byte-identical to the
 same search on a single facade.  The differential tests in
 ``tests/test_cluster.py`` enforce this.
 """
@@ -45,10 +40,11 @@ from __future__ import annotations
 
 import asyncio
 import threading
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.cluster.connection import ReplicaUnavailableError
 from repro.cluster.health import (
+    PROBE_TIMEOUT_S,
     STATE_EJECTED,
     HealthMonitor,
     RouterReplica,
@@ -74,39 +70,26 @@ FAILOVER_CODES = frozenset({"overloaded", "draining", "closed"})
 #: answers itself or fans out).
 ROUTED_OPS = frozenset({"eval", "search", "recommend"})
 
-#: Routed operations a straggling primary is hedged for.
-HEDGED_OPS = frozenset({"eval"})
+#: Cap on the exponential backoff between failover attempts.
+RETRY_BACKOFF_MAX_S = 1.0
 
 
 class RouterConfig:
-    """Tunables for routing, hedging, failover, and health probing."""
+    """Tunables for routing, failover, and health probing."""
 
     def __init__(
         self,
         vnodes: int = DEFAULT_VNODES,
-        hedge_after_s: Optional[float] = 0.5,
         max_attempts: int = 3,
         retry_backoff_s: float = 0.05,
-        retry_backoff_max_s: float = 1.0,
         probe_interval_s: float = 0.5,
-        probe_timeout_s: float = 5.0,
         eject_after: int = 3,
         connect_timeout_s: float = 5.0,
     ) -> None:
         self.vnodes = int(vnodes)
-        #: ``None`` (or <= 0) disables hedging entirely.
-        self.hedge_after_s = (
-            None
-            if hedge_after_s is None or hedge_after_s <= 0
-            else float(hedge_after_s)
-        )
         self.max_attempts = max(1, int(max_attempts))
         self.retry_backoff_s = max(0.0, float(retry_backoff_s))
-        self.retry_backoff_max_s = max(
-            self.retry_backoff_s, float(retry_backoff_max_s)
-        )
         self.probe_interval_s = float(probe_interval_s)
-        self.probe_timeout_s = float(probe_timeout_s)
         self.eject_after = max(1, int(eject_after))
         self.connect_timeout_s = float(connect_timeout_s)
 
@@ -129,7 +112,6 @@ class ClusterRouter:
         self.monitor = HealthMonitor(
             list(self.replicas.values()),
             probe_interval_s=self.config.probe_interval_s,
-            probe_timeout_s=self.config.probe_timeout_s,
             eject_after=self.config.eject_after,
         )
         self.metrics = MetricsRegistry()
@@ -248,19 +230,16 @@ class ClusterRouter:
         attempt = 0
         with get_tracer().span("cluster.route", op=op):
             while attempt < self.config.max_attempts:
-                primary = candidates[attempt % len(candidates)]
-                backup = (
-                    candidates[(attempt + 1) % len(candidates)]
-                    if len(candidates) > 1
-                    else None
-                )
-                outcome, winner = await self._attempt(
-                    op, fields, primary, backup
-                )
-                if outcome is not None:
+                replica = candidates[attempt % len(candidates)]
+                replica.n_requests += 1
+                try:
+                    outcome = await replica.connection.request(op, fields)
+                except ReplicaUnavailableError:
+                    replica.record_failure(self.config.eject_after)
+                else:
                     if outcome.get("ok"):
-                        winner.record_success()
-                        self._inc(f"cluster.routed.{winner.name}")
+                        replica.record_success()
+                        self._inc(f"cluster.routed.{replica.name}")
                         result = outcome.get("result") or {}
                         return ok_response(request_id, result)
                     error = outcome.get("error") or {}
@@ -273,13 +252,13 @@ class ClusterRouter:
                             str(error.get("message", "request failed")),
                         )
                     last_failure = (
-                        f"replica {winner.name!r} answered {code}"
+                        f"replica {replica.name!r} answered {code}"
                     )
                 attempt += 1
                 if attempt < self.config.max_attempts:
                     self._inc("cluster.failovers")
                     delay = min(
-                        self.config.retry_backoff_max_s,
+                        RETRY_BACKOFF_MAX_S,
                         self.config.retry_backoff_s * (2 ** (attempt - 1)),
                     )
                     if delay > 0:
@@ -290,78 +269,6 @@ class ClusterRouter:
             "unavailable",
             f"{op} failed after {attempt} attempts: {last_failure}",
         )
-
-    async def _attempt(
-        self,
-        op: str,
-        fields: Dict[str, Any],
-        primary: RouterReplica,
-        backup: Optional[RouterReplica],
-    ) -> Tuple[Optional[Dict[str, Any]], RouterReplica]:
-        """One routing attempt: primary, hedged with backup if a
-        :data:`HEDGED_OPS` request is slow.
-
-        Returns ``(response_envelope, answering_replica)``; the
-        envelope is ``None`` when every contacted replica failed at the
-        transport level (the caller then backs off and retries).
-        """
-        primary.n_requests += 1
-        tasks: Dict["asyncio.Task[Dict[str, Any]]", RouterReplica] = {}
-        primary_task = asyncio.ensure_future(
-            primary.connection.request(op, fields)
-        )
-        tasks[primary_task] = primary
-        hedge_deadline = (
-            self.config.hedge_after_s
-            if backup is not None and op in HEDGED_OPS
-            else None
-        )
-        outcome: Optional[Dict[str, Any]] = None
-        winner = primary
-        hedged = False
-        try:
-            while tasks:
-                done, _pending = await asyncio.wait(
-                    set(tasks),
-                    timeout=hedge_deadline,
-                    return_when=asyncio.FIRST_COMPLETED,
-                )
-                if not done:
-                    # Primary is straggling: hedge once to the backup.
-                    hedge_deadline = None
-                    if backup is not None and not hedged:
-                        hedged = True
-                        self._inc("cluster.hedges")
-                        backup.n_hedges += 1
-                        backup.n_requests += 1
-                        hedge_task = asyncio.ensure_future(
-                            backup.connection.request(op, fields)
-                        )
-                        tasks[hedge_task] = backup
-                    continue
-                for task in done:
-                    replica = tasks.pop(task)
-                    try:
-                        response = task.result()
-                    except ReplicaUnavailableError:
-                        replica.record_failure(self.config.eject_after)
-                        continue
-                    code = None
-                    if not response.get("ok"):
-                        code = str(
-                            (response.get("error") or {}).get("code")
-                        )
-                    if code in FAILOVER_CODES and tasks:
-                        # A hedge partner is still running; let it win.
-                        outcome, winner = response, replica
-                        continue
-                    if hedged and replica is not primary:
-                        self._inc("cluster.hedge_wins")
-                    return response, replica
-            return outcome, winner
-        finally:
-            for task in tasks:
-                task.cancel()
 
     # -- cluster-wide operations ----------------------------------------
 
@@ -378,7 +285,7 @@ class ClusterRouter:
             try:
                 response = await asyncio.wait_for(
                     replica.connection.request("status"),
-                    timeout=self.config.probe_timeout_s,
+                    timeout=PROBE_TIMEOUT_S,
                 )
             except (ReplicaUnavailableError, asyncio.TimeoutError):
                 return replica.last_status
@@ -439,7 +346,7 @@ class ClusterRouter:
             try:
                 response = await asyncio.wait_for(
                     replica.connection.request("drain"),
-                    timeout=self.config.probe_timeout_s,
+                    timeout=PROBE_TIMEOUT_S,
                 )
             except (ReplicaUnavailableError, asyncio.TimeoutError):
                 return False

@@ -119,10 +119,6 @@ class BayesianBERPredictor:
         self._beliefs.append(belief)
         return belief
 
-    @property
-    def n_points(self) -> int:
-        return len(self._beliefs)
-
     # ------------------------------------------------------------------
 
     def prior(self, point: Point) -> Optional[Gaussian]:
@@ -163,13 +159,3 @@ class BayesianBERPredictor:
             return prior
         observation = observation_from_counts(errors, bits)
         return observation if prior is None else prior.combined_with(observation)
-
-    def needs_longer_run(self, point: Point, decades: float = 0.5) -> bool:
-        """Whether the belief at ``point`` is too vague to rank on.
-
-        True when the posterior standard deviation exceeds ``decades``
-        — the search's trigger for promoting a point to a higher
-        simulation fidelity.
-        """
-        belief = self.predict(point)
-        return belief.std > decades

@@ -149,9 +149,6 @@ class EvaluationLog:
             counts[record.fidelity] = counts.get(record.fidelity, 0) + 1
         return counts
 
-    def unique_points(self) -> int:
-        return len({record.point for record in self.records})
-
 
 class CachingEvaluator:
     """Memoizing wrapper around an evaluator.

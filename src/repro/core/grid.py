@@ -161,20 +161,6 @@ class Region:
             region = region._with_bound(name, bound)
         return region
 
-    def volume_fraction(self) -> float:
-        """Fraction of the full space this region spans (for reports)."""
-        fraction = 1.0
-        for parameter in self.space.parameters:
-            lo, hi = self.bound_of(parameter.name)
-            if isinstance(parameter, DiscreteParameter):
-                if parameter.size > 1:
-                    fraction *= (int(hi) - int(lo) + 1) / parameter.size
-            else:
-                full = parameter.upper - parameter.lower
-                if full > 0:
-                    fraction *= (float(hi) - float(lo)) / full
-        return fraction
-
 
 def _apply_budget(counts: Dict[str, int], max_points: int) -> Dict[str, int]:
     """Trim per-dimension sample counts until their product fits."""

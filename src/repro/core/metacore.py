@@ -264,8 +264,9 @@ class MetaCore:
 
         Starts the asyncio evaluation service (socket server on a
         background thread) with this facade's ``workers`` /
-        ``cache_path`` / ``resilient`` settings and a pre-warmed
-        session for this specification; returns a started
+        ``cache_path`` / ``resilient`` settings and a session already
+        registered for this specification (its worker pool starts on
+        the first batch); returns a started
         :class:`~repro.serve.server.ServeHandle` (context manager).
         Results are bit-identical to one-shot evaluation — see
         ``docs/serving.md``.

@@ -27,6 +27,7 @@ import atexit
 import multiprocessing
 import os
 import pickle
+import threading
 import time
 import weakref
 from concurrent.futures import ProcessPoolExecutor
@@ -113,6 +114,9 @@ class ParallelEvaluator:
         self.inner = inner
         self.workers = int(workers) if workers else (os.cpu_count() or 1)
         self._executor: Optional[ProcessPoolExecutor] = None
+        # A served session's eval and search threads can reach a cold
+        # pool at once; only one of them may create it.
+        self._executor_lock = threading.Lock()
         self._payload: Optional[bytes]
         try:
             self._payload = pickle.dumps(inner)
@@ -170,28 +174,17 @@ class ParallelEvaluator:
 
     # -- pool lifecycle --------------------------------------------------
 
-    def ensure_started(self) -> bool:
-        """Start the worker pool now instead of on the first batch.
-
-        Long-running services call this once at start-up so the first
-        client request is not taxed with pool spin-up; returns True when
-        a pool is (now) live, False when parallelism is disabled.
-        """
-        if not self.parallel_enabled:
-            return False
-        self._ensure_executor()
-        return True
-
     def _ensure_executor(self) -> ProcessPoolExecutor:
-        if self._executor is None:
-            self._executor = ProcessPoolExecutor(
-                max_workers=self.workers,
-                mp_context=_pool_context(),
-                initializer=_init_worker,
-                initargs=(self._payload,),
-            )
-            _LIVE_POOLS.add(self)
-        return self._executor
+        with self._executor_lock:
+            if self._executor is None:
+                self._executor = ProcessPoolExecutor(
+                    max_workers=self.workers,
+                    mp_context=_pool_context(),
+                    initializer=_init_worker,
+                    initargs=(self._payload,),
+                )
+                _LIVE_POOLS.add(self)
+            return self._executor
 
     def close(self) -> None:
         """Shut the worker pool down (idempotent)."""

@@ -144,12 +144,6 @@ class DesignSpace:
     def dimensions(self) -> int:
         return len(self.parameters)
 
-    @property
-    def free_dimensions(self) -> int:
-        """Dimensions that actually vary (paper: fixed G and N shrink
-        the initial grid well below the 256-point budget)."""
-        return sum(1 for p in self.parameters if not p.is_fixed)
-
     def __getitem__(self, name: str) -> Parameter:
         for parameter in self.parameters:
             if parameter.name == name:

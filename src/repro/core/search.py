@@ -37,7 +37,7 @@ from repro.core.evaluation import (
 from repro.core.grid import DEFAULT_MAX_GRID_POINTS, GridSample, Region
 from repro.core.objectives import DesignGoal
 from repro.core.parameters import DesignSpace, Point, frozen_point
-from repro.errors import ConfigurationError, InfeasibleSpecError
+from repro.errors import ConfigurationError
 from repro.observability.metrics import get_registry
 from repro.observability.trace import get_tracer
 
@@ -114,14 +114,6 @@ class SearchResult:
     def best_metrics(self) -> Optional[Metrics]:
         """The winner's (confirmed) metrics record."""
         return self.best.metrics if self.best else None
-
-    def require_feasible(self) -> EvaluationRecord:
-        """The winning record, or :class:`InfeasibleSpecError`."""
-        if self.best is None or not self.feasible:
-            raise InfeasibleSpecError(
-                "no design point satisfies the specification"
-            )
-        return self.best
 
     def summary(self) -> str:
         """Human-readable one-paragraph run summary."""

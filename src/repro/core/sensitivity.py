@@ -52,22 +52,6 @@ class ParameterSensitivity:
             return self.center - self.below
         return None
 
-    @property
-    def is_monotonic_here(self) -> Optional[bool]:
-        """Locally monotonic (no sign change across the point)?"""
-        if self.below is None or self.above is None:
-            return None
-        left = self.center - self.below
-        right = self.above - self.center
-        return left * right >= 0
-
-    @property
-    def curvature(self) -> Optional[float]:
-        """Second difference (positive = locally convex)."""
-        if self.below is None or self.above is None:
-            return None
-        return self.above - 2.0 * self.center + self.below
-
 
 def _neighbors(
     space: DesignSpace, point: Point, name: str

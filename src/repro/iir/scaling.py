@@ -60,13 +60,6 @@ class ScalingReport:
     def worst_after(self) -> float:
         return max(self.node_norms_after, default=0.0)
 
-    @property
-    def headroom_bits_saved(self) -> float:
-        """Integer bits of headroom the scaling saves at the worst node."""
-        if self.worst_before <= 0 or self.worst_after <= 0:
-            return 0.0
-        return math.log2(self.worst_before / self.worst_after)
-
 
 def _cumulative_sections(cascade: Cascade) -> List[TransferFunction]:
     """Transfer functions from the input to each internal node."""

@@ -148,12 +148,6 @@ class BandMeasurement:
     three_db_high: Optional[float]
 
     @property
-    def three_db_bandwidth(self) -> Optional[float]:
-        if self.three_db_low is None or self.three_db_high is None:
-            return None
-        return self.three_db_high - self.three_db_low
-
-    @property
     def stopband_attenuation_db(self) -> float:
         return -20.0 * math.log10(max(self.stopband_level, 1e-300))
 

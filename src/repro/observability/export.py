@@ -254,14 +254,10 @@ def format_trace_report(summary: TraceSummary) -> str:
             f"({int(atlas_skipped)} levels skipped)"
         )
     routed = summary.counter_value("cluster.requests")
-    hedges = summary.counter_value("cluster.hedges")
-    hedge_wins = summary.counter_value("cluster.hedge_wins")
     failovers = summary.counter_value("cluster.failovers")
-    if routed or hedges or failovers:
+    if routed or failovers:
         lines.append(
-            f"cluster: {int(routed)} routed / "
-            f"{int(hedges)} hedged ({int(hedge_wins)} hedge wins) / "
-            f"{int(failovers)} failovers"
+            f"cluster: {int(routed)} routed / {int(failovers)} failovers"
         )
     cpu_s = summary.counter_value("evaluator.cpu_s")
     wall_s = summary.counter_value("evaluator.wall_s")

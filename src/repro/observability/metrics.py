@@ -61,10 +61,6 @@ class Gauge:
         with self._lock:
             self._value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        with self._lock:
-            self._value -= amount
-
     @property
     def value(self) -> float:
         return self._value
@@ -131,11 +127,6 @@ class Histogram:
     @property
     def mean(self) -> float:
         return self._sum / self._count if self._count else 0.0
-
-    def bucket_counts(self) -> List[Tuple[Optional[float], int]]:
-        """(upper_edge, count) pairs; the ``None`` edge is overflow."""
-        edges: List[Optional[float]] = list(self.buckets) + [None]
-        return list(zip(edges, self._counts))
 
     def quantile(self, q: float) -> float:
         """Estimate the ``q``-quantile (0..1) from the bucket counts.

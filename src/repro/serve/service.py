@@ -181,11 +181,6 @@ class EvaluatorSession:
         self.shim = stack.shim
         self.evaluator = CachingEvaluator(stack.evaluator, store=store)
 
-    def warm_up(self) -> None:
-        """Start the worker pool before the first request arrives."""
-        if self.parallel is not None:
-            self.parallel.ensure_started()
-
     def close(self) -> None:
         if self.parallel is not None:
             self.parallel.close()
@@ -309,8 +304,6 @@ class EvaluationService:
         )
         self._running = True
         self._started_s = time.monotonic()
-        for session in self.sessions():
-            session.warm_up()
 
     def drain(self) -> Dict[str, Any]:
         """Stop admitting new work; in-flight work keeps running.
@@ -385,8 +378,6 @@ class EvaluationService:
                 name, evaluator, self.config, self.store, kind, spec
             )
             self._sessions[name] = session
-        if self._running:
-            session.warm_up()
         return session
 
     def session_for_spec(self, payload: Dict[str, Any]) -> EvaluatorSession:
@@ -406,8 +397,6 @@ class EvaluationService:
                 name, evaluator, self.config, self.store, kind, spec
             )
             self._sessions[name] = session
-        if self._running:
-            session.warm_up()
         return session
 
     def resolve_session(

@@ -76,11 +76,6 @@ class AWGNChannel:
     def __post_init__(self) -> None:
         self.sigma = noise_sigma(self.es_n0_db)
 
-    @classmethod
-    def from_linear(cls, es_n0: float) -> "AWGNChannel":
-        """Build a channel from a linear Es/N0 ratio (paper's Table 3 units)."""
-        return cls(es_n0_linear_to_db(es_n0))
-
     def transmit(self, symbols: np.ndarray, rng: SeedLike = None) -> np.ndarray:
         """Modulate 0/1 channel symbols and add Gaussian noise."""
         generator = make_rng(rng)

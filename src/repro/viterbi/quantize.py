@@ -119,10 +119,6 @@ class Quantizer(ABC):
         half = self.n_levels // 2
         return step * np.arange(-(half - 1), half)
 
-    def ideal_level(self, bit: int) -> int:
-        """The level a noiseless transmission of ``bit`` maps to."""
-        return self.max_level if bit == 0 else 0
-
 
 class HardQuantizer(Quantizer):
     """1-bit sign quantization (hard decision decoding)."""

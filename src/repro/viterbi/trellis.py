@@ -76,16 +76,6 @@ class Trellis:
             branch_symbols=branch_symbols,
         )
 
-    def input_bit_of_state(self, state: np.ndarray) -> np.ndarray:
-        """The input bit that *led into* a state.
-
-        With ``next = (u << (K-2)) | (s >> 1)``, the most significant
-        state bit is the most recent input, so the bit that produced the
-        transition into ``state`` is simply its top bit.
-        """
-        shift = self.constraint_length - 2
-        return (np.asarray(state) >> shift) & 1
-
     def cache_key(self) -> Tuple[int, Tuple[int, ...]]:
         """The identity of this trellis for memoization purposes."""
         return self.constraint_length, self.polynomials

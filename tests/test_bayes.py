@@ -103,19 +103,12 @@ class TestPredictor:
     def test_add_estimate(self):
         predictor = BayesianBERPredictor(_space())
         predictor.add_estimate({"x": 5}, ber=1e-4)
-        assert predictor.n_points == 1
         assert predictor.prior({"x": 5}).mean == pytest.approx(-4.0, abs=0.5)
 
     def test_add_estimate_clamps(self):
         predictor = BayesianBERPredictor(_space())
         belief = predictor.add_estimate({"x": 5}, ber=2.0)
         assert belief.mean <= math.log10(0.5) + 1e-9
-
-    def test_needs_longer_run_threshold(self):
-        predictor = BayesianBERPredictor(_space())
-        predictor.add_measurement({"x": 5}, errors=10_000, bits=10_000_000)
-        assert not predictor.needs_longer_run({"x": 5})
-        assert predictor.needs_longer_run({"x": 0}, decades=0.3)
 
     @given(st.integers(1, 500), st.integers(1_000, 100_000))
     @settings(max_examples=30, deadline=None)

@@ -444,7 +444,6 @@ class TestClusterEndToEnd:
                 "--unix", str(router_sock),
                 *(f"--replica=unix:{path}" for path in replica_socks),
                 "--probe-interval-ms", "200", "--eject-after", "2",
-                "--hedge-ms", "0",
             )
             self._wait_serving(router, router_sock, tmp_path, "router")
             client = ServeClient(unix_path=str(router_sock), timeout_s=300.0)

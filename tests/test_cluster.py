@@ -1,8 +1,8 @@
-"""Cluster serving tests: sharding, failover, hedging, drain.
+"""Cluster serving tests: sharding, failover, drain.
 
 The load-bearing property is unchanged from the serve layer: a request
-routed through the cluster — across failover, hedging, and replica
-loss mid-run — must answer **byte-identically** to the same request on
+routed through the cluster — across failover and replica loss
+mid-run — must answer **byte-identically** to the same request on
 a single in-process facade.  Everything the router adds (consistent
 hashing, health ejection, retry, drain fan-out) exists to preserve
 that guarantee while the topology misbehaves underneath it.
@@ -215,7 +215,6 @@ class TestClusterDifferential:
             ServiceConfig(),
             replicas=2,
             router_config=RouterConfig(
-                hedge_after_s=None,
                 retry_backoff_s=0.01,
                 probe_interval_s=0.1,
                 eject_after=1,
@@ -277,7 +276,6 @@ class TestClusterDifferential:
             ServiceConfig(),
             replicas=2,
             router_config=RouterConfig(
-                hedge_after_s=None,
                 retry_backoff_s=0.01,
                 probe_interval_s=0.1,
                 eject_after=1,
@@ -296,7 +294,7 @@ class TestClusterDifferential:
 
 
 # ---------------------------------------------------------------------------
-# Hedging (fake replicas with controllable latency)
+# One replica per request (fake replicas with controllable latency)
 # ---------------------------------------------------------------------------
 
 
@@ -391,9 +389,12 @@ class FakeReplica:
             self._thread.join(timeout=10.0)
 
 
-class TestHedging:
-    def _two_fakes_router(self, hedge_after_s):
-        """Two fakes; returns (fakes by name, started RouterHandle)."""
+class TestOneReplicaPerRequest:
+    @pytest.mark.parametrize("op", ["eval", "search", "recommend"])
+    def test_slow_primary_is_the_only_replica_asked(self, op):
+        """Every routed operation is deterministic, so a duplicate on a
+        second replica could not change the answer, only price it
+        twice: a slow primary is waited for, never raced."""
         fakes = {
             "replica-0": FakeReplica("replica-0").start(),
             "replica-1": FakeReplica("replica-1").start(),
@@ -404,81 +405,23 @@ class TestHedging:
                 for name, fake in fakes.items()
             )
         )
-        handle = RouterHandle(
-            topology,
-            config=RouterConfig(
-                hedge_after_s=hedge_after_s,
-                probe_interval_s=10.0,  # quiet during the test window
-                retry_backoff_s=0.01,
-            ),
-        ).start()
-        return fakes, handle
-
-    def test_hedged_request_returns_one_answer_from_backup(self):
-        fakes, handle = self._two_fakes_router(hedge_after_s=0.08)
+        handle = RouterHandle(topology).start()
         try:
-            router = handle.router
             key = "session-key"
-            primary, backup = router.ring.preference(key)[:2]
-            fakes[primary].delay_s = 1.0  # straggler
+            primary, backup = handle.router.ring.preference(key)[:2]
+            fakes[primary].delay_s = 0.6
             with handle.client() as client:
-                t0 = time.time()
-                metrics = client.eval({"x": 1}, session=key)
-                elapsed = time.time() - t0
-            # Exactly one answer, and it is the fast backup's.
-            assert metrics == {"answered_by": backup}
-            assert elapsed < 1.0, "hedge did not cut the tail"
-            assert router.metrics.counter("cluster.hedges").value == 1
-            assert router.metrics.counter("cluster.hedge_wins").value == 1
-            # Both replicas saw the request (the duplicate really ran).
-            deadline = time.time() + 5.0
-            while fakes[primary].n_evals == 0 and time.time() < deadline:
-                time.sleep(0.01)
-            assert fakes[primary].n_evals == 1
-            assert fakes[backup].n_evals == 1
-            # The loser was cancelled client-side: its pending table
-            # drains once the cancelled task's cleanup runs on the
-            # router loop (shortly after the winner answers).
-            connection = router.replicas[primary].connection
-            deadline = time.time() + 5.0
-            while connection._pending and time.time() < deadline:
-                time.sleep(0.01)
-            assert not connection._pending
-        finally:
-            handle.stop()
-            for fake in fakes.values():
-                fake.stop()
-
-    @pytest.mark.parametrize("op", ["search", "recommend"])
-    def test_slow_search_is_never_hedged(self, op):
-        """A search outlives any hedge deadline; duplicating it would
-        only burn a second replica's CPU, so the router never does."""
-        fakes, handle = self._two_fakes_router(hedge_after_s=0.08)
-        try:
-            router = handle.router
-            key = "session-key"
-            primary, backup = router.ring.preference(key)[:2]
-            fakes[primary].delay_s = 0.4  # five hedge deadlines
-            with handle.client() as client:
-                result = getattr(client, op)(session=key)
+                if op == "eval":
+                    result = client.eval({"x": 1}, session=key)
+                else:
+                    result = getattr(client, op)(session=key)
             assert result == {"answered_by": primary}
-            assert router.metrics.counter("cluster.hedges").value == 0
-            assert fakes[primary].n_slow_ops == {op: 1}
-            assert fakes[backup].n_slow_ops == {}
+            if op == "eval":
+                assert fakes[primary].n_evals == 1
+            else:
+                assert fakes[primary].n_slow_ops == {op: 1}
             assert fakes[backup].n_evals == 0
-        finally:
-            handle.stop()
-            for fake in fakes.values():
-                fake.stop()
-
-    def test_fast_primary_never_hedges(self):
-        fakes, handle = self._two_fakes_router(hedge_after_s=0.5)
-        try:
-            router = handle.router
-            with handle.client() as client:
-                for i in range(5):
-                    client.eval({"x": i}, session=f"key-{i}")
-            assert router.metrics.counter("cluster.hedges").value == 0
+            assert fakes[backup].n_slow_ops == {}
         finally:
             handle.stop()
             for fake in fakes.values():
@@ -606,13 +549,11 @@ class TestClusterStatus:
         summary = TraceSummary(
             metrics={
                 "cluster.requests": {"type": "counter", "value": 7},
-                "cluster.hedges": {"type": "counter", "value": 2},
-                "cluster.hedge_wins": {"type": "counter", "value": 1},
                 "cluster.failovers": {"type": "counter", "value": 1},
             },
         )
         report = format_trace_report(summary)
-        assert "cluster: 7 routed / 2 hedged (1 hedge wins) / 1 failovers" in report
+        assert "cluster: 7 routed / 1 failovers" in report
         # cluster.* counters fold into the cluster line, not the
         # generic counters dump.
         assert "cluster.requests" not in report

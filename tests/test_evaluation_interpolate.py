@@ -58,7 +58,6 @@ class TestCachingEvaluator:
         evaluator.evaluate({"x": 2}, 1)
         assert log.n_evaluations == 2
         assert log.by_fidelity() == {0: 1, 1: 1}
-        assert log.unique_points() == 2
         assert log.total_time_s >= 0.0
 
 

@@ -90,7 +90,11 @@ class TestRefinement:
         region = Region.full(_space())
         grid = region.grid(1)
         refined = region.refine_around(grid.points[0], grid.samples)
-        assert refined.volume_fraction() < region.volume_fraction()
+        for name in ("k", "w", "gamma"):
+            lo, hi = refined.bound_of(name)
+            full_lo, full_hi = region.bound_of(name)
+            assert full_lo <= lo <= hi <= full_hi
+        assert refined.bound_of("k") != region.bound_of("k")
 
     def test_refinement_is_nested(self):
         """A refined region's grid points stay inside the region."""
@@ -110,9 +114,6 @@ class TestRefinement:
         bogus["k"] = 5  # not among the resolution-0 samples {3, 9}
         with pytest.raises(DesignSpaceError):
             region.refine_around(bogus, grid.samples)
-
-    def test_volume_fraction_full_is_one(self):
-        assert Region.full(_space()).volume_fraction() == pytest.approx(1.0)
 
     def test_bound_of_unknown_raises(self):
         with pytest.raises(DesignSpaceError):

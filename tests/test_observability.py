@@ -166,10 +166,11 @@ class TestMetrics:
         hist.observe(1.5)   # second bucket
         hist.observe(2.0)   # edge -> second bucket
         hist.observe(99.0)  # overflow
-        assert hist.bucket_counts() == [(1.0, 2), (2.0, 2), (None, 1)]
+        snap = hist.snapshot()
+        assert snap["buckets"] == [1.0, 2.0]
+        assert snap["counts"] == [2, 2, 1]  # last entry is overflow
         assert hist.count == 5
         assert hist.mean == pytest.approx((0.5 + 1.0 + 1.5 + 2.0 + 99.0) / 5)
-        snap = hist.snapshot()
         assert snap["min"] == 0.5 and snap["max"] == 99.0
 
     def test_histogram_rejects_bad_buckets(self):
@@ -184,7 +185,7 @@ class TestMetrics:
         with pytest.raises(TypeError):
             registry.gauge("x")
         registry.gauge("g").set(4)
-        registry.gauge("g").dec()
+        registry.gauge("g").inc(-1)
         snap = registry.snapshot()
         assert snap["x"]["type"] == "counter"
         assert snap["g"]["value"] == 3

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import threading
+import time
 import warnings
 from typing import Dict
 
@@ -228,6 +229,49 @@ class TestThreadSafety:
         assert caching.cache_hits + caching.cache_misses == 200
         assert caching.cache_misses == len(calls) == 20
         assert caching.log.n_evaluations == 20
+
+    def test_cold_pool_is_created_once_under_concurrent_batches(
+        self, monkeypatch
+    ):
+        """A served session's eval and search threads can reach a cold
+        pool together; a second pool would leak its worker processes."""
+        import sys
+
+        import repro.core.parallel as parallel_module
+
+        created = []
+
+        class CountingPool(parallel_module.ProcessPoolExecutor):
+            def __init__(self, *args, **kwargs):
+                created.append(self)
+                time.sleep(0.05)  # hold the window other threads race in
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(parallel_module, "ProcessPoolExecutor", CountingPool)
+        inner = DeterministicEvaluator()
+        points = [{"a": 1, "b": 10}, {"a": 2, "b": 20}]
+        barrier = threading.Barrier(4)
+        results = []
+
+        def batch() -> None:
+            barrier.wait(timeout=10.0)
+            results.append(parallel.evaluate_many(points, 0))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ParallelEvaluator(inner, workers=2) as parallel:
+                threads = [threading.Thread(target=batch) for _ in range(4)]
+                for t in threads:
+                    t.start()
+                for t in threads:
+                    t.join(timeout=60.0)
+                assert not any(t.is_alive() for t in threads)
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(created) == 1
+        expected = [inner.evaluate(p, 0) for p in points]
+        assert results == [expected] * 4
 
 
 class TestSharedConstruction:

@@ -99,12 +99,6 @@ class TestDesignSpace:
     def test_size_infinite_with_continuous(self):
         assert math.isinf(_space().size())
 
-    def test_free_dimensions(self):
-        space = DesignSpace(
-            [DiscreteParameter("a", (1,)), DiscreteParameter("b", (1, 2))]
-        )
-        assert space.free_dimensions == 1
-
     def test_validate_point(self):
         space = _space()
         point = space.validate_point({"k": 5, "q": "hard", "gamma": 0.5})

@@ -53,7 +53,7 @@ class TestScaling:
         # The paper-style narrow filters have resonant internal nodes;
         # scaling buys headroom whenever the worst node exceeded 1.
         if report.worst_before > 1.0:
-            assert report.headroom_bits_saved > 0.0
+            assert report.worst_after < report.worst_before
 
     def test_single_section_noop(self):
         spec = LowpassSpec(0.3 * math.pi, 0.6 * math.pi, 0.1, 0.05)

@@ -50,9 +50,12 @@ class TestTrellisStructure:
 
     def test_input_bit_of_state(self, trellis_k5):
         states = np.arange(trellis_k5.n_states)
-        bits = trellis_k5.input_bit_of_state(states)
-        # Top bit of the state is the most recent input.
-        assert np.array_equal(bits, states >> 3)
+        # Top bit of the state is the most recent input: both branches
+        # into a state carry that bit.
+        for slot in range(2):
+            assert np.array_equal(
+                trellis_k5.branch_inputs[:, slot], states >> 3
+            )
 
     def test_describe_lists_all_branches(self, trellis_k3):
         text = trellis_k3.describe()
