@@ -234,8 +234,9 @@ class ClusterRouter:
                 replica.n_requests += 1
                 try:
                     outcome = await replica.connection.request(op, fields)
-                except ReplicaUnavailableError:
+                except ReplicaUnavailableError as error:
                     replica.record_failure(self.config.eject_after)
+                    last_failure = str(error)
                 else:
                     if outcome.get("ok"):
                         replica.record_success()

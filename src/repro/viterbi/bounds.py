@@ -86,67 +86,57 @@ def distance_spectrum(
 
     Counts all paths that diverge from state 0 and remerge into it
     without touching it in between, accumulating the number of paths and
-    their total input weight per output Hamming distance.
+    their total input weight per output Hamming distance.  Each step
+    updates every state at once: a state's two incoming branches gather
+    their predecessors' rows, shifted along the distance axis by the
+    branch's output weight.  Counts and weights are integer-valued
+    doubles far below 2**53, so the sums are exact in any order.
     """
     trellis = Trellis.from_encoder(encoder)
-    n_states = encoder.n_states
     # First find the free distance with a Dijkstra-style search, so the
     # DP can bound its distance axis.
     dfree = _free_distance(encoder)
     dmax = dfree + extra_terms - 1
     # counts[s, d] / weight[s, d]: paths 0 -> s (s != 0) at distance d.
-    counts = np.zeros((n_states, dmax + 1))
-    weight = np.zeros((n_states, dmax + 1))
+    counts = np.zeros((encoder.n_states, dmax + 1))
+    weight = np.zeros_like(counts)
     merged_weight = np.zeros(dmax + 1)
     # Diverge: the input-1 branch out of state 0.
-    start_state = trellis_next(encoder, 0, 1)
+    start_state = encoder.next_state(0, 1)
     start_dist = sum(encoder.output_symbols(0, 1))
     if start_dist <= dmax:
         counts[start_state, start_dist] = 1.0
         weight[start_state, start_dist] = 1.0
+    # Per incoming slot: the predecessor rows and, for every distance
+    # d, the column d - (branch weight) of those rows in the
+    # zero-padded tables below (the pad absorbs d < branch weight).
+    pad = encoder.n_outputs
+    branch_dist = trellis.branch_symbols.sum(axis=2, dtype=np.int64)
+    rows = trellis.predecessors[:, :, np.newaxis]
+    cols = pad + np.arange(dmax + 1) - branch_dist[:, :, np.newaxis]
+    bits = trellis.branch_inputs[:, :, np.newaxis].astype(np.float64)
+    padded_counts = np.zeros((encoder.n_states, pad + dmax + 1))
+    padded_weight = np.zeros_like(padded_counts)
     max_steps = 64 * encoder.constraint_length + 256
     for _ in range(max_steps):
         if not counts.any():
             break
-        new_counts = np.zeros_like(counts)
-        new_weight = np.zeros_like(weight)
-        for state in range(n_states):
-            if not counts[state].any():
-                continue
-            for bit in (0, 1):
-                nxt = trellis_next(encoder, state, bit)
-                dist = sum(encoder.output_symbols(state, bit))
-                shifted_counts = _shift(counts[state], dist, dmax)
-                shifted_weight = _shift(weight[state], dist, dmax) + (
-                    bit * shifted_counts
-                )
-                if nxt == 0:
-                    merged_weight += shifted_weight
-                else:
-                    new_counts[nxt] += shifted_counts
-                    new_weight[nxt] += shifted_weight
-        counts, weight = new_counts, new_weight
+        padded_counts[:, pad:] = counts
+        padded_weight[:, pad:] = weight
+        # (states, slot, distance): each incoming branch's paths.
+        shifted_counts = padded_counts[rows, cols]
+        shifted_weight = padded_weight[rows, cols] + bits * shifted_counts
+        counts = shifted_counts.sum(axis=1)
+        weight = shifted_weight.sum(axis=1)
+        merged_weight += weight[0]
+        counts[0] = 0.0
+        weight[0] = 0.0
     weights = tuple(
         (d, float(merged_weight[d]))
         for d in range(dfree, dmax + 1)
         if merged_weight[d] > 0 or d == dfree
     )
     return DistanceSpectrum(free_distance=dfree, weights=weights)
-
-
-def _shift(row: np.ndarray, dist: int, dmax: int) -> np.ndarray:
-    """Shift a distance-indexed row by ``dist``, dropping overflow."""
-    out = np.zeros_like(row)
-    if dist == 0:
-        return row.copy()
-    if dist <= dmax:
-        out[dist:] = row[: dmax + 1 - dist]
-    return out
-
-
-def trellis_next(encoder: ConvolutionalEncoder, state: int, bit: int) -> int:
-    """Forward transition (thin wrapper to keep the DP readable)."""
-    return encoder.next_state(state, bit)
 
 
 def _free_distance(encoder: ConvolutionalEncoder) -> int:

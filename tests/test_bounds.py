@@ -15,7 +15,7 @@ from repro.viterbi import (
     pairwise_error_multires,
     pairwise_error_soft,
 )
-from repro.viterbi.bounds import truncation_penalty
+from repro.viterbi.bounds import DistanceSpectrum, truncation_penalty
 
 
 class TestDistanceSpectrum:
@@ -55,6 +55,80 @@ class TestDistanceSpectrum:
         ]
         assert dfrees == sorted(dfrees)
         assert dfrees[0] < dfrees[-1]
+
+    #: The spectra of the default codes, frozen from the state-by-state
+    #: trellis walk: every count is an integer-valued double, so any
+    #: order of the sums gives these exact values.
+    FROZEN_SPECTRA = {
+        3: (5, ((5, 1.0), (6, 4.0), (7, 12.0), (8, 32.0), (9, 80.0),
+                (10, 192.0))),
+        4: (6, ((6, 2.0), (7, 7.0), (8, 18.0), (9, 49.0), (10, 130.0),
+                (11, 333.0))),
+        5: (7, ((7, 4.0), (8, 12.0), (9, 20.0), (10, 72.0), (11, 225.0),
+                (12, 500.0))),
+        6: (8, ((8, 2.0), (9, 36.0), (10, 32.0), (11, 62.0), (12, 332.0),
+                (13, 701.0))),
+        7: (10, ((10, 36.0), (12, 211.0), (14, 1404.0))),
+        8: (10, ((10, 2.0), (11, 22.0), (12, 60.0), (13, 148.0),
+                 (14, 340.0), (15, 1008.0))),
+        9: (12, ((12, 33.0), (14, 281.0), (16, 2179.0))),
+    }
+
+    @pytest.mark.parametrize("k", sorted(FROZEN_SPECTRA))
+    def test_default_code_spectra_frozen(self, k):
+        assert distance_spectrum(ConvolutionalEncoder(k)) == DistanceSpectrum(
+            *self.FROZEN_SPECTRA[k]
+        )
+
+    @pytest.mark.parametrize(
+        "k,polynomials,extra",
+        [
+            (3, (0o7, 0o5, 0o7), 6),
+            (5, (0o25, 0o33, 0o37), 4),
+            (6, (0o65, 0o57), 9),
+            (7, (0o155, 0o117), 1),
+        ],
+    )
+    def test_matches_state_by_state_walk(self, k, polynomials, extra):
+        encoder = ConvolutionalEncoder(k, polynomials)
+        assert distance_spectrum(encoder, extra) == _walked_spectrum(
+            encoder, extra
+        )
+
+
+def _walked_spectrum(encoder, extra_terms):
+    """The reference: the same DP one state and one input bit at a time."""
+    dfree = distance_spectrum(encoder, 1).free_distance
+    dmax = dfree + extra_terms - 1
+    counts = {}
+    merged = [0] * (dmax + 1)
+    start = sum(encoder.output_symbols(0, 1))
+    if start <= dmax:
+        counts[encoder.next_state(0, 1), start] = (1, 1)
+    for _ in range(64 * encoder.constraint_length + 256):
+        if not counts:
+            break
+        following = {}
+        for (state, dist), (count, weight) in counts.items():
+            for bit in (0, 1):
+                nxt = encoder.next_state(state, bit)
+                d = dist + sum(encoder.output_symbols(state, bit))
+                if d > dmax:
+                    continue
+                if nxt == 0:
+                    merged[d] += weight + bit * count
+                else:
+                    c, w = following.get((nxt, d), (0, 0))
+                    following[nxt, d] = (c + count, w + weight + bit * count)
+        counts = following
+    return DistanceSpectrum(
+        dfree,
+        tuple(
+            (d, float(merged[d]))
+            for d in range(dfree, dmax + 1)
+            if merged[d] > 0 or d == dfree
+        ),
+    )
 
 
 class TestPairwiseError:

@@ -524,6 +524,81 @@ class TestClusterEndToEnd:
             shutil.rmtree(sockets, ignore_errors=True)
 
 
+class TestSigterm:
+    """SIGTERM stops ``metacores serve`` and ``metacores cluster`` as the
+    ``shutdown`` operation does: exit status 0, pools closed."""
+
+    def _stop(self, proc: subprocess.Popen, banner: str) -> None:
+        proc.send_signal(signal.SIGTERM)
+        out, _ = proc.communicate(timeout=30)
+        assert proc.returncode == 0, out
+        assert banner in out
+
+    def test_serve_closes_its_pool(self):
+        from repro.core.metacore import metacore_definition
+        from repro.serve import ServeClient, spec_to_payload
+
+        definition = metacore_definition("viterbi")
+        args = build_parser().parse_args(["client", "eval", *CLIENT_EVAL])
+        spec = spec_to_payload(definition.spec_from_args(args, None))
+        point = definition.point_from_args(args)
+        sockets = Path(tempfile.mkdtemp(prefix="metacores-"))
+        sock = str(sockets / "serve.sock")
+        if _processes_mentioning(sock) is None:
+            pytest.skip("no /proc to list the pool workers")
+        server = _cli("serve", "--workers", "2", "--unix", sock)
+        rounds = iter(range(1_000))
+
+        def eval_round():
+            # Concurrent evals of new points: one waits for the batch in
+            # flight, so a later batch holds two and goes to the pool.
+            lengths = 4 + next(rounds)
+
+            def price(k: int) -> None:
+                with ServeClient(unix_path=sock, timeout_s=120.0) as client:
+                    client.eval(point=dict(point, K=k, L_mult=lengths), spec=spec)
+
+            threads = [
+                threading.Thread(target=price, args=(k,)) for k in (3, 4, 5, 6)
+            ]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+            return [pid for pid in _processes_mentioning(sock) if pid != server.pid]
+
+        try:
+            assert server.stdout.readline().startswith("serving on ")
+            workers = _wait_for(eval_round, 60, "the pool to start")
+            self._stop(server, "server stopped")
+            _wait_for(
+                lambda: not set(workers) & set(_processes_mentioning(sock)),
+                10, "the pool workers to exit",
+            )
+        finally:
+            if server.poll() is None:
+                server.kill()
+                server.wait(timeout=30)
+            server.stdout.close()
+            shutil.rmtree(sockets, ignore_errors=True)
+
+    def test_cluster_exits_cleanly(self):
+        sockets = Path(tempfile.mkdtemp(prefix="metacores-"))
+        router = _cli(
+            "cluster", "--unix", str(sockets / "router.sock"),
+            f"--replica=unix:{sockets / 'absent.sock'}",
+        )
+        try:
+            assert router.stdout.readline().startswith("routing on ")
+            self._stop(router, "router stopped")
+        finally:
+            if router.poll() is None:
+                router.kill()
+                router.wait(timeout=30)
+            router.stdout.close()
+            shutil.rmtree(sockets, ignore_errors=True)
+
+
 class TestParallelCacheEndToEnd:
     """``viterbi-search --workers 2 --cache``: cold fill, then warm hits."""
 

@@ -293,6 +293,31 @@ class TestClusterDifferential:
         assert canonical(served) == canonical(dict(serial))
 
 
+    def test_transport_failure_named_in_unavailable_answer(self):
+        """When every attempt fails to connect, the ``unavailable``
+        answer says which replica failed and how."""
+        topology = Topology(
+            replicas=tuple(
+                Replica(name=f"replica-{port}", host="127.0.0.1", port=port)
+                for port in (1, 2)
+            )
+        )
+        handle = RouterHandle(
+            topology, RouterConfig(retry_backoff_s=0.0, probe_interval_s=60.0)
+        ).start()
+        try:
+            with handle.client() as client:
+                with pytest.raises(ServeRequestError) as caught:
+                    client.eval({"x": 1}, session="key")
+        finally:
+            handle.stop()
+        assert caught.value.code == "unavailable"
+        message = str(caught.value)
+        assert "eval failed after 3 attempts: replica 'replica-" in message
+        assert "unavailable: " in message
+        assert "no replicas available" not in message
+
+
 # ---------------------------------------------------------------------------
 # One replica per request (fake replicas with controllable latency)
 # ---------------------------------------------------------------------------
