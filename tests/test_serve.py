@@ -723,6 +723,29 @@ class TestShutdown:
         handle.stop()
         assert handle.service.status()["running"] is False
 
+    def test_sigterm_handler_restored_after_shutdown(self):
+        """``serve_forever`` on the main thread takes SIGTERM for its own
+        shutdown and puts the program's own handler back afterwards."""
+        import asyncio
+        import signal
+
+        from repro.serve import serve_forever
+
+        def own_handler(signum, frame):
+            pass
+
+        before = signal.signal(signal.SIGTERM, own_handler)
+        try:
+            asyncio.run(
+                serve_forever(
+                    ServiceConfig(),
+                    ready_callback=lambda s: s.shutdown_requested.set(),
+                )
+            )
+            assert signal.getsignal(signal.SIGTERM) is own_handler
+        finally:
+            signal.signal(signal.SIGTERM, before)
+
 
 class TestMicroBatcherUnit:
     def test_bound(self):
