@@ -627,7 +627,7 @@ def cmd_campaign_report(args: argparse.Namespace) -> int:
 
 def cmd_serve(args: argparse.Namespace) -> int:
     """Run the evaluation service until shutdown (Ctrl-C or client op)."""
-    from repro.serve import ServiceConfig
+    from repro.serve import EvaluationService, ServiceConfig
     from repro.serve.server import serve_forever
 
     config = ServiceConfig(
@@ -647,7 +647,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     try:
         asyncio.run(
             serve_forever(
-                config,
+                lambda: EvaluationService(config),
                 host=args.host,
                 port=args.port,
                 unix_path=args.unix,
@@ -772,11 +772,12 @@ def cmd_client(args: argparse.Namespace) -> int:
 def cmd_cluster(args: argparse.Namespace) -> int:
     """Run the cluster router over a static replica topology."""
     from repro.cluster import (
+        ClusterRouter,
         RouterConfig,
         load_topology,
-        route_forever,
         topology_from_flags,
     )
+    from repro.serve.server import serve_forever
 
     try:
         if args.topology:
@@ -807,9 +808,8 @@ def cmd_cluster(args: argparse.Namespace) -> int:
 
     try:
         asyncio.run(
-            route_forever(
-                topology,
-                config=config,
+            serve_forever(
+                lambda: ClusterRouter(topology, config),
                 host=args.host,
                 port=args.port,
                 unix_path=args.unix,

@@ -17,11 +17,11 @@ cluster as a whole serves many specs concurrently.  See
   to one replica with id remapping and fail-fast on disconnect;
 - :mod:`repro.cluster.health` — replica health state machine
   (healthy/degraded/ejected, rejoin on recovery) + the probe loop;
-- :mod:`repro.cluster.router` — the router itself: key routing,
-  bounded failover retry, cluster status/drain;
-- :mod:`repro.cluster.handle` — blocking-world handles, including the
-  whole-cluster-in-one-process ``ClusterHandle`` behind the facades'
-  ``serve(replicas=N)``.
+- :mod:`repro.cluster.router` — the router itself, a backend of the
+  :mod:`repro.serve.server` socket front-end: key routing, bounded
+  failover retry, cluster status/drain;
+- :mod:`repro.cluster.handle` — the whole-cluster-in-one-process
+  ``ClusterHandle`` behind the facades' ``serve(replicas=N)``.
 
 Determinism: replicas share no mutable evaluation state, so any search
 routed through a cluster is byte-identical to the same search on a
@@ -33,7 +33,7 @@ from repro.cluster.connection import (
     ReplicaConnection,
     ReplicaUnavailableError,
 )
-from repro.cluster.handle import ClusterHandle, RouterHandle
+from repro.cluster.handle import ClusterHandle
 from repro.cluster.health import (
     STATE_DEGRADED,
     STATE_EJECTED,
@@ -46,8 +46,6 @@ from repro.cluster.router import (
     FAILOVER_CODES,
     ClusterRouter,
     RouterConfig,
-    RouterServer,
-    route_forever,
 )
 from repro.cluster.topology import (
     Replica,
@@ -60,7 +58,6 @@ __all__ = [
     "ReplicaConnection",
     "ReplicaUnavailableError",
     "ClusterHandle",
-    "RouterHandle",
     "STATE_DEGRADED",
     "STATE_EJECTED",
     "STATE_HEALTHY",
@@ -71,8 +68,6 @@ __all__ = [
     "FAILOVER_CODES",
     "ClusterRouter",
     "RouterConfig",
-    "RouterServer",
-    "route_forever",
     "Replica",
     "Topology",
     "load_topology",

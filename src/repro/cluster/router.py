@@ -1,6 +1,7 @@
 """The cluster router: fingerprint-sharded front door for N replicas.
 
-The router speaks the exact client protocol of
+The router is a backend of the socket front-end in
+:mod:`repro.serve.server`, so it speaks the exact client protocol of
 :mod:`repro.serve.protocol` — a client cannot tell a router from a
 single server — and forwards each ``eval``/``search``/``recommend``
 to a replica chosen by consistent hashing on the request's routing
@@ -59,7 +60,6 @@ from repro.serve.protocol import (
     error_response,
     ok_response,
 )
-from repro.serve.server import ServeServer, run_until_shutdown
 from repro.serve.service import fingerprint_for_payload
 
 #: Replica error codes that mean "try another replica", not "the
@@ -191,7 +191,7 @@ class ClusterRouter:
     # -- request path ----------------------------------------------------
 
     async def dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        """Answer one client message (the server's _dispatch hook)."""
+        """Answer one client message (``shutdown`` is the server's)."""
         op = message.get("op")
         request_id = message.get("id")
         if op == "ping":
@@ -210,10 +210,6 @@ class ClusterRouter:
         if op in ROUTED_OPS:
             self._inc("cluster.requests")
             return await self._route(message)
-        if op == "shutdown":
-            # Handled by the server wrapper (it owns the stop event);
-            # reaching here means a bare router without one.
-            raise ConfigurationError("router cannot shut down replicas")
         raise ConfigurationError(f"unknown operation {op!r}")
 
     async def _route(self, message: Dict[str, Any]) -> Dict[str, Any]:
@@ -366,50 +362,3 @@ class ClusterRouter:
                 name: bool(flag) for name, flag in zip(names, drained)
             },
         }
-
-
-class RouterServer(ServeServer):
-    """Socket front-end: the ServeServer transport, router dispatch."""
-
-    def __init__(
-        self,
-        router: ClusterRouter,
-        host: str = "127.0.0.1",
-        port: int = 0,
-        unix_path: Optional[str] = None,
-        allow_shutdown: bool = True,
-    ) -> None:
-        super().__init__(
-            service=None,  # type: ignore[arg-type]  # never dispatched to
-            host=host,
-            port=port,
-            unix_path=unix_path,
-            allow_shutdown=allow_shutdown,
-        )
-        self.router = router
-
-    async def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        op = message.get("op")
-        request_id = message.get("id")
-        if op == "shutdown":
-            if not self.allow_shutdown:
-                return error_response(
-                    request_id, "forbidden", "remote shutdown is disabled"
-                )
-            self.shutdown_requested.set()
-            return ok_response(request_id, {"stopping": True})
-        return await self.router.dispatch(message)
-
-
-async def route_forever(
-    topology: Topology,
-    config: Optional[RouterConfig] = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    unix_path: Optional[str] = None,
-    ready_callback=None,
-) -> None:
-    """Run router + server until a ``shutdown`` request arrives."""
-    router = ClusterRouter(topology, config)
-    server = RouterServer(router, host=host, port=port, unix_path=unix_path)
-    await run_until_shutdown(router, server, ready_callback)

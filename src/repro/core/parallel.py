@@ -238,7 +238,6 @@ def evaluator_stack(
     engine: Evaluator,
     workers: Optional[int] = 1,
     resilient: bool = False,
-    max_retries: int = 2,
 ) -> EvaluatorStack:
     """engine -> :func:`worker_pool` -> ``ResilientEvaluator`` (resilient).
 
@@ -252,6 +251,6 @@ def evaluator_stack(
         # Imported lazily: repro.resilience depends on the drivers.
         from repro.resilience.shim import ResilientEvaluator
 
-        shim = ResilientEvaluator(evaluator, max_retries=max_retries)
+        shim = ResilientEvaluator(evaluator)
         evaluator = shim
     return EvaluatorStack(evaluator, parallel, shim)

@@ -12,8 +12,9 @@ backpressure — the workload shape of design-space exploration at scale
   size, per-key sequencing, no timer);
 - :mod:`repro.serve.service` — the asyncio service core: sessions,
   admission control, timeouts, search execution, status;
-- :mod:`repro.serve.server` — socket front-end plus the background-
-  thread :class:`ServeHandle` the facades' ``serve()`` hooks return;
+- :mod:`repro.serve.server` — the socket front-end of any backend
+  (this service or a cluster router), plus the background-thread
+  :class:`ServeHandle` the facades' ``serve()`` hooks return;
 - :mod:`repro.serve.client` — synchronous socket clients.
 """
 

@@ -98,8 +98,12 @@ class ServeClient:
         try:
             if self.unix_path:
                 sock = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-                sock.settimeout(self.timeout_s)
-                sock.connect(self.unix_path)
+                try:
+                    sock.settimeout(self.timeout_s)
+                    sock.connect(self.unix_path)
+                except OSError:
+                    sock.close()
+                    raise
             else:
                 sock = socket.create_connection(
                     (self.host, self.port), timeout=self.timeout_s

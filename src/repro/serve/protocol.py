@@ -85,6 +85,8 @@ def decode_message(line: bytes) -> Dict[str, Any]:
         message = json.loads(line.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ProtocolError(f"undecodable message: {exc}") from exc
+    except RecursionError:
+        raise ProtocolError("message nests too deeply") from None
     if not isinstance(message, dict):
         raise ProtocolError("message must be a JSON object")
     return message

@@ -1,4 +1,4 @@
-"""Socket front-end of the evaluation service.
+"""Socket front-end of the evaluation service and the cluster router.
 
 Speaks the newline-delimited JSON protocol of
 :mod:`repro.serve.protocol` over a local TCP socket (default) or a unix
@@ -7,13 +7,19 @@ message is handled as its own task, so a slow search does not block a
 status probe on the same connection, and responses may arrive out of
 request order (clients correlate by ``id``).
 
+The server answers ``shutdown`` itself and hands every other message to
+its *backend*: any object with ``start()``, ``stop()`` and
+``async dispatch(message) -> reply``.  An
+:class:`~repro.serve.service.EvaluationService` is one backend, a
+:class:`~repro.cluster.router.ClusterRouter` the other.
+
 Two ways to run it:
 
-- :func:`serve_forever` — the CLI entry point; owns the loop, serves
-  until a ``shutdown`` request (or cancellation) arrives.
-- :class:`ServeHandle` — runs loop + service + server on a background
-  thread (the :class:`LoopThreadHandle` life cycle, shared with the
-  cluster router's handle); the in-process path used by the MetaCore
+- :func:`serve_forever` — owns the life cycle: builds the backend on
+  the running loop, serves until a ``shutdown`` request (SIGTERM on the
+  main thread, or cancellation) arrives;
+- :class:`LoopThreadHandle` — the same on a background thread; its
+  :class:`ServeHandle` is the in-process path used by the MetaCore
   facades' ``serve()`` hooks, the test suite, and the benchmark
   harness.
 """
@@ -23,17 +29,15 @@ from __future__ import annotations
 import asyncio
 import signal
 import threading
-from typing import Any, Coroutine, Dict, Optional, Set, Tuple
+from typing import Any, Callable, Optional, Set, Tuple
 
 from repro.errors import ConfigurationError
 from repro.serve.protocol import (
-    PROTOCOL_VERSION,
     ProtocolError,
     decode_message,
     encode_message,
     error_response,
     ok_response,
-    request_field,
 )
 from repro.serve.service import (
     EvaluationService,
@@ -43,21 +47,19 @@ from repro.serve.service import (
 
 
 class ServeServer:
-    """Accept connections and dispatch protocol messages to a service."""
+    """Accept connections; answer ``shutdown``, hand the rest to a backend."""
 
     def __init__(
         self,
-        service: EvaluationService,
+        backend,
         host: str = "127.0.0.1",
         port: int = 0,
         unix_path: Optional[str] = None,
-        allow_shutdown: bool = True,
     ) -> None:
-        self.service = service
+        self.backend = backend
         self.host = host
         self.port = port
         self.unix_path = unix_path
-        self.allow_shutdown = allow_shutdown
         self.shutdown_requested = asyncio.Event()
         self._server: Optional[asyncio.AbstractServer] = None
         self._tasks: Set["asyncio.Task[None]"] = set()
@@ -162,7 +164,11 @@ class ServeServer:
         try:
             message = decode_message(line)
             request_id = message.get("id")
-            response = await self._dispatch(message)
+            if message.get("op") == "shutdown":
+                self.shutdown_requested.set()
+                response = ok_response(request_id, {"stopping": True})
+            else:
+                response = await self.backend.dispatch(message)
         except ProtocolError as exc:
             response = error_response(request_id, "protocol", str(exc))
         except ConfigurationError as exc:
@@ -182,79 +188,26 @@ class ServeServer:
             except (ConnectionError, OSError):
                 pass  # client went away; the work is already accounted
 
-    def _session(self, message: Dict[str, Any]):
-        """The service session a request's ``spec`` or ``session`` names."""
-        return self.service.resolve_session(
-            message.get("spec"), request_field(message, "session")
-        )
 
-    async def _dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
-        op = message.get("op")
-        request_id = message.get("id")
-        if op == "ping":
-            return ok_response(
-                request_id, {"pong": True, "protocol": PROTOCOL_VERSION}
-            )
-        if op == "status":
-            return ok_response(request_id, self.service.status())
-        if op == "eval":
-            point = request_field(message, "point")
-            fidelity = request_field(message, "fidelity", 0)
-            timeout = request_field(
-                message, "timeout_s", EvaluationService._UNSET
-            )
-            session = self._session(message)
-            metrics = await self.service.submit_point(
-                session, dict(point or {}), fidelity, timeout_s=timeout
-            )
-            return ok_response(
-                request_id,
-                {"metrics": dict(metrics), "session": session.name},
-            )
-        if op == "search":
-            fixed = request_field(message, "fixed")
-            result = await self.service.submit_search(
-                self._session(message),
-                config_fields=message.get("config"),
-                fixed=fixed,
-            )
-            return ok_response(request_id, result)
-        if op == "recommend":
-            constraints = request_field(message, "constraints")
-            fixed = request_field(message, "fixed")
-            result = await self.service.submit_recommend(
-                self._session(message),
-                constraints=constraints,
-                config_fields=message.get("config"),
-                fixed=fixed,
-            )
-            return ok_response(request_id, result)
-        if op == "drain":
-            if not self.allow_shutdown:
-                return error_response(
-                    request_id, "forbidden", "remote drain is disabled"
-                )
-            return ok_response(request_id, self.service.drain())
-        if op == "shutdown":
-            if not self.allow_shutdown:
-                return error_response(
-                    request_id, "forbidden", "remote shutdown is disabled"
-                )
-            self.shutdown_requested.set()
-            return ok_response(request_id, {"stopping": True})
-        raise ConfigurationError(f"unknown operation {op!r}")
+async def serve_forever(
+    make_backend: Callable[[], Any],
+    host: str = "127.0.0.1",
+    port: int = 0,
+    unix_path: Optional[str] = None,
+    ready_callback=None,
+) -> None:
+    """Serve ``make_backend()`` on a socket until shutdown is asked.
 
-
-async def run_until_shutdown(backend, server: ServeServer, ready_callback=None) -> None:
-    """Start ``backend`` and ``server``; stop both once shutdown is asked.
-
-    The one life cycle of a socket front-end, shared by
-    :func:`serve_forever` (an :class:`EvaluationService` backend) and
-    :func:`~repro.cluster.router.route_forever` (a cluster router).
-    On the main thread SIGTERM asks for shutdown as the ``shutdown``
-    operation does, so the backend's pools are closed before exit; the
-    SIGTERM handler in place before is put back afterwards.
+    The one life cycle of the socket front-end, whatever its backend.
+    The backend is built here, on the running loop: a router's replica
+    connections create asyncio locks, which bind to the current loop on
+    Python 3.9.  On the main thread SIGTERM asks for shutdown as the
+    ``shutdown`` operation does, so the backend's pools are closed
+    before exit; the SIGTERM handler in place before is put back
+    afterwards.
     """
+    backend = make_backend()
+    server = ServeServer(backend, host=host, port=port, unix_path=unix_path)
     loop = asyncio.get_running_loop()
     on_sigterm = threading.current_thread() is threading.main_thread()
     previous = signal.getsignal(signal.SIGTERM) if on_sigterm else None
@@ -275,48 +228,35 @@ async def run_until_shutdown(backend, server: ServeServer, ready_callback=None) 
                 signal.signal(signal.SIGTERM, previous)
 
 
-async def serve_forever(
-    config: Optional[ServiceConfig] = None,
-    host: str = "127.0.0.1",
-    port: int = 0,
-    unix_path: Optional[str] = None,
-    ready_callback=None,
-    service: Optional[EvaluationService] = None,
-) -> None:
-    """Run service + server until a ``shutdown`` request arrives."""
-    service = service or EvaluationService(config)
-    server = ServeServer(service, host=host, port=port, unix_path=unix_path)
-    await run_until_shutdown(service, server, ready_callback)
-
-
 class LoopThreadHandle:
-    """A socket front-end's event loop on a daemon thread.
+    """:func:`serve_forever` on a daemon thread.
 
     The blocking-world adapter: ``start()`` returns once the socket is
     bound (with the OS-assigned port resolved), ``stop()`` joins the
     thread after an orderly shutdown; usable as a context manager.
-    Subclasses name the coroutine that runs on the loop (``_serve``).
+    ``make_backend`` is called on the handle's loop; the backend it
+    built is ``backend`` once started.
     """
 
     _thread_name = "metacores-serve"
 
     def __init__(
         self,
+        make_backend: Callable[[], Any],
         host: str = "127.0.0.1",
         port: int = 0,
         unix_path: Optional[str] = None,
     ) -> None:
+        self._make_backend = make_backend
         self.host = host
         self.port = port
         self.unix_path = unix_path
+        self.backend: Any = None
         self._thread: Optional[threading.Thread] = None
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._server: Optional[ServeServer] = None
         self._ready = threading.Event()
         self._startup_error: Optional[BaseException] = None
-
-    def _serve(self, ready_callback) -> Coroutine[Any, Any, None]:
-        raise NotImplementedError
 
     # -- life cycle ------------------------------------------------------
 
@@ -340,11 +280,20 @@ class LoopThreadHandle:
 
         def on_ready(server: ServeServer) -> None:
             self._server = server
+            self.backend = server.backend
             self.port = server.port
             self._ready.set()
 
         try:
-            loop.run_until_complete(self._serve(on_ready))
+            loop.run_until_complete(
+                serve_forever(
+                    self._make_backend,
+                    host=self.host,
+                    port=self.port,
+                    unix_path=self.unix_path,
+                    ready_callback=on_ready,
+                )
+            )
         except BaseException as exc:  # surface bind errors to start()
             if not self._ready.is_set():
                 self._startup_error = exc
@@ -414,14 +363,8 @@ class ServeHandle(LoopThreadHandle):
         port: int = 0,
         unix_path: Optional[str] = None,
     ) -> None:
-        super().__init__(host=host, port=port, unix_path=unix_path)
-        self.service = EvaluationService(config)
-
-    def _serve(self, ready_callback) -> Coroutine[Any, Any, None]:
-        return serve_forever(
-            host=self.host,
-            port=self.port,
-            unix_path=self.unix_path,
-            ready_callback=ready_callback,
-            service=self.service,
+        service = EvaluationService(config)
+        super().__init__(
+            lambda: service, host=host, port=port, unix_path=unix_path
         )
+        self.service = service

@@ -50,6 +50,9 @@ from repro.observability.metrics import MetricsRegistry, get_registry
 from repro.observability.trace import get_tracer
 from repro.serve.batching import MicroBatcher, PendingRequest
 from repro.serve.protocol import (
+    PROTOCOL_VERSION,
+    ok_response,
+    request_field,
     search_config_from_payload,
     spec_from_payload,
 )
@@ -138,10 +141,9 @@ class ServiceConfig:
     #: Shared design atlas: served searches warm-start from it and
     #: ingest into it, and the ``recommend`` op answers from it.
     atlas_path: Optional[str] = None
-    #: Wrap session evaluators in the retry/quarantine shim.
+    #: Wrap session evaluators in the retry/quarantine shim (with its
+    #: default retries and backoff).
     resilient: bool = False
-    #: Retries per failing point when ``resilient`` (see the shim).
-    max_retries: int = 2
     #: Stable replica identity reported by ``status`` (cluster routers
     #: show it in health/routing tables); None = anonymous.
     node_id: Optional[str] = None
@@ -172,10 +174,7 @@ class EvaluatorSession:
         self.inner = inner
         self.fingerprint = evaluator_fingerprint(inner)
         stack = evaluator_stack(
-            inner,
-            workers=config.workers,
-            resilient=config.resilient,
-            max_retries=config.max_retries,
+            inner, workers=config.workers, resilient=config.resilient
         )
         self.parallel = stack.parallel
         self.shim = stack.shim
@@ -250,9 +249,10 @@ class EvaluationService:
 
     Life cycle: construct, :meth:`start` inside a running loop, submit
     work via :meth:`submit_point` / :meth:`submit_search` /
-    :meth:`status`, then :meth:`stop`.  The socket front-end lives in
-    :mod:`repro.serve.server`; in-process callers can drive the service
-    directly.
+    :meth:`status`, then :meth:`stop`.  :meth:`dispatch` answers one
+    protocol message, which makes the service a backend of the socket
+    front-end in :mod:`repro.serve.server`; in-process callers can
+    drive the service directly.
     """
 
     def __init__(self, config: Optional[ServiceConfig] = None) -> None:
@@ -416,6 +416,64 @@ class EvaluationService:
         if spec_payload is None:
             raise ConfigurationError("request needs a spec or session")
         return self.session_for_spec(spec_payload)
+
+    # -- protocol --------------------------------------------------------
+
+    def _session(self, message: Dict[str, Any]) -> EvaluatorSession:
+        """The session a request's ``spec`` or ``session`` names."""
+        return self.resolve_session(
+            message.get("spec"), request_field(message, "session")
+        )
+
+    async def dispatch(self, message: Dict[str, Any]) -> Dict[str, Any]:
+        """Answer one protocol message.
+
+        Every operation but ``shutdown``, which the socket server owns.
+        A malformed request raises :class:`ConfigurationError` and a
+        refused or failed one a :class:`ServiceError`; the server turns
+        both into error replies.
+        """
+        op = message.get("op")
+        request_id = message.get("id")
+        if op == "ping":
+            return ok_response(
+                request_id, {"pong": True, "protocol": PROTOCOL_VERSION}
+            )
+        if op == "status":
+            return ok_response(request_id, self.status())
+        if op == "eval":
+            point = request_field(message, "point")
+            fidelity = request_field(message, "fidelity", 0)
+            timeout = request_field(message, "timeout_s", self._UNSET)
+            session = self._session(message)
+            metrics = await self.submit_point(
+                session, dict(point or {}), fidelity, timeout_s=timeout
+            )
+            return ok_response(
+                request_id,
+                {"metrics": dict(metrics), "session": session.name},
+            )
+        if op == "search":
+            fixed = request_field(message, "fixed")
+            result = await self.submit_search(
+                self._session(message),
+                config_fields=message.get("config"),
+                fixed=fixed,
+            )
+            return ok_response(request_id, result)
+        if op == "recommend":
+            constraints = request_field(message, "constraints")
+            fixed = request_field(message, "fixed")
+            result = await self.submit_recommend(
+                self._session(message),
+                constraints=constraints,
+                config_fields=message.get("config"),
+                fixed=fixed,
+            )
+            return ok_response(request_id, result)
+        if op == "drain":
+            return ok_response(request_id, self.drain())
+        raise ConfigurationError(f"unknown operation {op!r}")
 
     # -- point evaluation ------------------------------------------------
 

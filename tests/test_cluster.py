@@ -20,10 +20,10 @@ import pytest
 
 from repro.cluster import (
     ClusterHandle,
+    ClusterRouter,
     HashRing,
     Replica,
     RouterConfig,
-    RouterHandle,
     Topology,
     load_topology,
     topology_from_flags,
@@ -39,6 +39,12 @@ from repro.serve.protocol import (
     encode_message,
     error_response,
     ok_response,
+)
+from repro.serve.server import LoopThreadHandle
+
+#: A socket or transport left unclosed fails the test that leaked it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
 )
 
 
@@ -221,7 +227,7 @@ class TestClusterDifferential:
             ),
         )
         with cluster:
-            router = cluster.router
+            router = cluster.backend
             spec_payload = spec_to_payload(iir_spec())
             fingerprint = cluster.session_for_spec(spec_payload)
             owner = router.ring.owner(fingerprint)
@@ -302,8 +308,9 @@ class TestClusterDifferential:
                 for port in (1, 2)
             )
         )
-        handle = RouterHandle(
-            topology, RouterConfig(retry_backoff_s=0.0, probe_interval_s=60.0)
+        config = RouterConfig(retry_backoff_s=0.0, probe_interval_s=60.0)
+        handle = LoopThreadHandle(
+            lambda: ClusterRouter(topology, config)
         ).start()
         try:
             with handle.client() as client:
@@ -343,6 +350,8 @@ class FakeReplica:
             await self._serve(reader, writer)
         except asyncio.CancelledError:
             pass  # stop() cancels in-flight handlers; that's clean
+        finally:
+            writer.close()
 
     async def _serve(self, reader, writer):
         while True:
@@ -375,7 +384,6 @@ class FakeReplica:
                 )
             writer.write(encode_message(response))
             await writer.drain()
-        writer.close()
 
     def _run(self):
         loop = asyncio.new_event_loop()
@@ -430,10 +438,10 @@ class TestOneReplicaPerRequest:
                 for name, fake in fakes.items()
             )
         )
-        handle = RouterHandle(topology).start()
+        handle = LoopThreadHandle(lambda: ClusterRouter(topology)).start()
         try:
             key = "session-key"
-            primary, backup = handle.router.ring.preference(key)[:2]
+            primary, backup = handle.backend.ring.preference(key)[:2]
             fakes[primary].delay_s = 0.6
             with handle.client() as client:
                 if op == "eval":
@@ -536,6 +544,26 @@ class TestClientReconnect:
                 second.stop()
         finally:
             client.close()
+
+    def test_failed_unix_connect_closes_its_socket(self, tmp_path, monkeypatch):
+        import socket
+
+        from repro.serve import ServeClient
+        from repro.serve.client import ServeConnectionError
+
+        opened = []
+        real_socket = socket.socket
+
+        def recording_socket(*args, **kwargs):
+            sock = real_socket(*args, **kwargs)
+            opened.append(sock)
+            return sock
+
+        monkeypatch.setattr(socket, "socket", recording_socket)
+        with pytest.raises(ServeConnectionError):
+            ServeClient(unix_path=str(tmp_path / "nobody-home.sock"))
+        assert opened
+        assert [sock.fileno() for sock in opened] == [-1] * len(opened)
 
     def test_retries_exhausted_surfaces_connection_error(self, tmp_path):
         from repro.serve import ServeClient

@@ -34,7 +34,12 @@ from repro.serve import (
     decode_message,
     spec_to_payload,
 )
-from repro.serve.service import ServiceError
+from repro.serve.protocol import ProtocolError
+
+#: A socket or transport left unclosed fails the test that leaked it.
+pytestmark = pytest.mark.filterwarnings(
+    "error::ResourceWarning", "error::pytest.PytestUnraisableExceptionWarning"
+)
 
 
 def canonical(record: Dict[str, float]) -> bytes:
@@ -118,6 +123,11 @@ class SlowEvaluator:
 
 def started_handle(**config_kwargs) -> ServeHandle:
     return ServeHandle(ServiceConfig(**config_kwargs)).start()
+
+
+def nested(depth: int, opener: bytes, leaf: bytes, closer: bytes) -> bytes:
+    """A JSON-ish line nesting ``leaf`` ``depth`` levels deep."""
+    return opener * depth + leaf + closer * depth
 
 
 POINTS = [{"x": float(i), "y": float(i % 5)} for i in range(24)]
@@ -343,9 +353,7 @@ class TestBackpressure:
 class TestResilience:
     def test_poisoned_point_quarantined_not_fatal(self):
         evaluator = PoisonedEvaluator()
-        with started_handle(
-            max_batch=4, resilient=True, max_retries=0
-        ) as handle:
+        with started_handle(max_batch=4, resilient=True) as handle:
             handle.service.register_evaluator("poison", evaluator)
             with handle.client() as client:
                 poisoned = client.eval({"x": 13.0}, session="poison")
@@ -527,11 +535,12 @@ class TestProtocolAndStatus:
                 response = decode_message(stream.readline())
                 assert response["ok"] is False
                 assert response["error"]["code"] == "bad_request"
-                stream.write(b"this is not json\n")
-                stream.flush()
-                response = decode_message(stream.readline())
-                assert response["ok"] is False
-                assert response["error"]["code"] == "protocol"
+                for line in (b"this is not json", nested(5000, b"[", b"", b"]")):
+                    stream.write(line + b"\n")
+                    stream.flush()
+                    response = decode_message(stream.readline())
+                    assert response["ok"] is False
+                    assert response["error"]["code"] == "protocol"
 
     def test_fidelity_validation(self):
         with started_handle() as handle:
@@ -550,6 +559,53 @@ class TestProtocolAndStatus:
                 handle.service.register_evaluator(
                     "toy", RecordingEvaluator()
                 )
+
+
+def json_containers(children):
+    """Arrays and objects of ``children``."""
+    return st.lists(children, max_size=3) | st.dictionaries(
+        st.text(max_size=2), children, max_size=3
+    )
+
+
+#: JSON documents of any shape, nested arrays and objects included.
+ANY_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=3),
+    json_containers,
+    max_leaves=12,
+)
+
+
+class TestFrameDecoder:
+    """``decode_message`` returns a message dict or raises
+    ``ProtocolError``, whatever the line holds."""
+
+    def test_deeply_nested_line_is_a_protocol_error(self):
+        line = nested(100000, b"[", b"", b"]")
+        with pytest.raises(ProtocolError):
+            decode_message(line)
+
+    @seed(20010618)
+    @settings(max_examples=300, deadline=None)
+    @given(
+        line=st.one_of(
+            st.binary(max_size=64),
+            ANY_JSON.map(lambda doc: json.dumps(doc).encode()),
+            st.builds(
+                nested,
+                st.integers(1, 200000),
+                st.sampled_from([b"[", b'{"a":', b'{"op":[']),
+                st.sampled_from([b"", b"1", b"{}", b'"x"', b"["]),
+                st.sampled_from([b"]", b"}", b"]}"]),
+            ),
+        )
+    )
+    def test_any_line_decodes_to_a_dict_or_protocol_error(self, line):
+        try:
+            message = decode_message(line)
+        except ProtocolError:
+            return
+        assert isinstance(message, dict)
 
 
 def raw_reply(handle: ServeHandle, message: Dict) -> Dict:
@@ -581,6 +637,27 @@ ANY_TIMEOUT = st.one_of(
         lambda v: not isinstance(v, (int, float)) or not 0 < v < 10
     ),
     st.floats(min_value=10.0, max_value=1e6),
+)
+
+
+FUZZED_OP = st.sampled_from(["eval", "search", "recommend"])
+FUZZED_FIELDS = st.fixed_dictionaries(
+    {},
+    optional={
+        "point": ANY_POINT,
+        "fidelity": st.one_of(ANY_VALUE, st.integers(-1, 2)),
+        "timeout_s": ANY_TIMEOUT,
+        "fixed": st.one_of(
+            ANY_VALUE,
+            st.dictionaries(st.sampled_from(["x", "y"]), ANY_VALUE, max_size=2),
+        ),
+        "constraints": st.one_of(
+            ANY_VALUE,
+            st.dictionaries(
+                st.sampled_from(["cost", "area"]), ANY_VALUE, max_size=2
+            ),
+        ),
+    },
 )
 
 
@@ -639,40 +716,40 @@ class TestRequestFields:
         reply = raw_reply(handle, {"op": "eval", "session": [1]})
         assert reply["error"]["code"] == "bad_request"
 
+    @pytest.fixture(scope="class")
+    def toy_router(self, toy_handle):
+        """A one-replica router in front of ``toy_handle``'s service."""
+        from repro.cluster import ClusterRouter, Replica, Topology
+        from repro.serve.server import LoopThreadHandle
+
+        handle, payload = toy_handle
+        replica = Replica(name="toy", host=handle.host, port=handle.port)
+        topology = Topology(replicas=(replica,))
+        with LoopThreadHandle(lambda: ClusterRouter(topology)) as router:
+            yield router, payload
+
+    @staticmethod
+    def assert_never_internal(handle, payload, op, fields) -> None:
+        reply = raw_reply(handle, {"op": op, "spec": payload, **fields})
+        if not reply["ok"]:
+            code = reply["error"]["code"]
+            assert code in ("bad_request", "evaluation_failed"), reply
+
     @seed(20010618)
     @settings(max_examples=60, deadline=None)
-    @given(
-        op=st.sampled_from(["eval", "search", "recommend"]),
-        fields=st.fixed_dictionaries(
-            {},
-            optional={
-                "point": ANY_POINT,
-                "fidelity": st.one_of(ANY_VALUE, st.integers(-1, 2)),
-                "timeout_s": ANY_TIMEOUT,
-                "fixed": st.one_of(
-                    ANY_VALUE,
-                    st.dictionaries(
-                        st.sampled_from(["x", "y"]), ANY_VALUE, max_size=2
-                    ),
-                ),
-                "constraints": st.one_of(
-                    ANY_VALUE,
-                    st.dictionaries(
-                        st.sampled_from(["cost", "area"]), ANY_VALUE, max_size=2
-                    ),
-                ),
-            },
-        ),
-    )
+    @given(op=FUZZED_OP, fields=FUZZED_FIELDS)
     def test_fuzzed_fields_never_answer_internal(self, toy_handle, op, fields):
-        handle, payload = toy_handle
-        message = {"id": 1, "op": op, "spec": payload, **fields}
-        try:
-            handle.submit(handle._server._dispatch(message))
-        except ConfigurationError:
-            pass  # answered bad_request
-        except ServiceError as exc:
-            assert exc.code == "evaluation_failed", exc
+        self.assert_never_internal(*toy_handle, op, fields)
+
+    @seed(20010618)
+    @settings(max_examples=60, deadline=None)
+    @given(op=FUZZED_OP, fields=FUZZED_FIELDS)
+    def test_fuzzed_fields_through_router_never_answer_internal(
+        self, toy_router, op, fields
+    ):
+        """The router forwards a replica's error answers as they are,
+        and never turns them into ``internal`` or ``unavailable``."""
+        self.assert_never_internal(*toy_router, op, fields)
 
 
 class TestShutdown:
@@ -729,7 +806,7 @@ class TestShutdown:
         import asyncio
         import signal
 
-        from repro.serve import serve_forever
+        from repro.serve import EvaluationService, serve_forever
 
         def own_handler(signum, frame):
             pass
@@ -738,7 +815,7 @@ class TestShutdown:
         try:
             asyncio.run(
                 serve_forever(
-                    ServiceConfig(),
+                    lambda: EvaluationService(ServiceConfig()),
                     ready_callback=lambda s: s.shutdown_requested.set(),
                 )
             )
